@@ -53,7 +53,7 @@ constexpr int kHubs = 60000;
 constexpr int kCities = 50;
 
 struct JoinFixture {
-  wdr::rdf::Graph graph{wdr::rdf::StorageBackend::kFlat};
+  wdr::rdf::Graph graph;
   wdr::exec::Statistics stats;
   BgpQuery q;
 

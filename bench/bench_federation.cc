@@ -69,7 +69,7 @@ void BM_CentralizedSaturatedQuery(benchmark::State& state) {
   config.universities = 2;
   wdr::workload::UniversityData data =
       wdr::workload::GenerateUniversityData(config);
-  wdr::rdf::TripleStore closure =
+  wdr::rdf::FlatTripleStore closure =
       wdr::reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
   auto queries = wdr::workload::StandardQuerySet(data.graph.dict());
   wdr::query::Evaluator evaluator(closure);
@@ -91,14 +91,14 @@ void BM_CentralizeAndSaturate(benchmark::State& state) {
       wdr::workload::GenerateUniversityData(config);
   wdr::federation::Federation fed = MakeFederation(data, 4);
   for (auto _ : state) {
-    wdr::rdf::TripleStore merged;
+    wdr::rdf::FlatTripleStore merged;
     for (wdr::federation::EndpointId e = 0; e < fed.endpoint_count(); ++e) {
       fed.endpoint_store(e).Match(0, 0, 0, [&](const wdr::rdf::Triple& t) {
         merged.Insert(t);
       });
     }
     wdr::reasoning::Saturator saturator(fed.vocab(), &fed.dict());
-    wdr::rdf::TripleStore closure = saturator.Saturate(merged);
+    wdr::rdf::FlatTripleStore closure = saturator.Saturate(merged);
     benchmark::DoNotOptimize(closure.size());
   }
 }

@@ -111,7 +111,7 @@ void RunRuleBenchmark(benchmark::State& state, Shape shape) {
   Graph g = MakeRuleGraph(shape, n, &vocab);
   wdr::reasoning::SaturationStats stats;
   for (auto _ : state) {
-    wdr::rdf::TripleStore closure =
+    wdr::rdf::FlatTripleStore closure =
         wdr::reasoning::Saturator::SaturateGraph(g, vocab, &stats);
     benchmark::DoNotOptimize(closure.size());
   }

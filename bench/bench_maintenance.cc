@@ -39,7 +39,7 @@ void BM_RecomputeAfterInstanceInsert(benchmark::State& state) {
     wdr::rdf::Graph g = f.data.graph;
     g.Insert(f.updates.instance_insertions[0]);
     state.ResumeTiming();
-    wdr::rdf::TripleStore closure =
+    wdr::rdf::FlatTripleStore closure =
         wdr::reasoning::Saturator::SaturateGraph(g, f.data.vocab);
     benchmark::DoNotOptimize(closure.size());
   }

@@ -28,7 +28,7 @@ using wdr::query::TriplePattern;
 
 struct Fixture {
   wdr::workload::UniversityData data;
-  wdr::rdf::TripleStore closure;
+  wdr::rdf::FlatTripleStore closure;
 
   Fixture() {
     wdr::workload::UniversityConfig config;

@@ -19,7 +19,7 @@ void BM_SaturateUniversity(benchmark::State& state) {
       wdr::workload::GenerateUniversityData(config);
   wdr::reasoning::SaturationStats stats;
   for (auto _ : state) {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
+    auto closure = wdr::reasoning::Saturator::SaturateGraph(
         data.graph, data.vocab, &stats);
     benchmark::DoNotOptimize(closure.size());
   }
@@ -47,7 +47,7 @@ void BM_SaturateBySchemaDepth(benchmark::State& state) {
       wdr::workload::GenerateSyntheticData(config);
   wdr::reasoning::SaturationStats stats;
   for (auto _ : state) {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
+    auto closure = wdr::reasoning::Saturator::SaturateGraph(
         data.graph, data.vocab, &stats);
     benchmark::DoNotOptimize(closure.size());
   }
@@ -72,17 +72,17 @@ void BM_SaturateUniversityParallel(benchmark::State& state) {
   options.threads = threads;
   wdr::reasoning::SaturationStats stats;
   for (auto _ : state) {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
+    auto closure = wdr::reasoning::Saturator::SaturateGraph(
         data.graph, data.vocab, &stats, options);
     benchmark::DoNotOptimize(closure.size());
   }
   wdr::bench::RepStats seq = wdr::bench::TimeReps(1, 3, [&] {
-    wdr::rdf::TripleStore closure =
+    wdr::rdf::FlatTripleStore closure =
         wdr::reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
     benchmark::DoNotOptimize(closure.size());
   });
   wdr::bench::RepStats par = wdr::bench::TimeReps(1, 3, [&] {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
+    auto closure = wdr::reasoning::Saturator::SaturateGraph(
         data.graph, data.vocab, nullptr, options);
     benchmark::DoNotOptimize(closure.size());
   });
@@ -104,7 +104,7 @@ void BM_RuleMixUniversity(benchmark::State& state) {
       wdr::workload::GenerateUniversityData(config);
   wdr::reasoning::SaturationStats stats;
   for (auto _ : state) {
-    wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
+    auto closure = wdr::reasoning::Saturator::SaturateGraph(
         data.graph, data.vocab, &stats);
     benchmark::DoNotOptimize(closure.size());
   }

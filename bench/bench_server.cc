@@ -15,7 +15,6 @@
 //   --write-pct=P     percentage of operations that are updates (default 10)
 //   --seconds=S       measured duration per mix (default 2)
 //   --scale=T         approximate base-graph size in triples (default 2000)
-//   --backend=B       ordered|flat storage backend (default ordered)
 //   --metrics-json=P  dump the wdr.* metrics registry to P afterwards
 //                     (includes the server's wdr.server.* histograms)
 #include <algorithm>
@@ -113,7 +112,6 @@ int main(int argc, char** argv) {
   int write_pct = 10;
   int seconds = 2;
   int scale = 2000;
-  wdr::store::ReasoningStoreOptions store_options;
   std::string metrics_path =
       wdr::bench::ConsumeMetricsJsonFlag(&argc, argv);
   for (int i = 1; i < argc; ++i) {
@@ -123,17 +121,11 @@ int main(int argc, char** argv) {
         FlagInt(argv[i], "--scale=", &scale)) {
       continue;
     }
-    if (std::strcmp(argv[i], "--backend=flat") == 0) {
-      store_options.backend = wdr::rdf::StorageBackend::kFlat;
-    } else if (std::strcmp(argv[i], "--backend=ordered") == 0) {
-      store_options.backend = wdr::rdf::StorageBackend::kOrdered;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
+    std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+    return 1;
   }
 
-  SnapshotStore store(store_options);
+  SnapshotStore store;
   {
     auto loaded = store.LoadTurtle(MakeData(20250807, scale));
     if (!loaded.ok()) {

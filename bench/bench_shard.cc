@@ -29,7 +29,6 @@
 namespace {
 
 using wdr::rdf::ShardedStore;
-using wdr::rdf::StorageBackend;
 
 struct Fixture {
   wdr::workload::UniversityData data;
@@ -48,7 +47,7 @@ struct Fixture {
   // The university graph re-homed onto a hash-partitioned store.
   wdr::rdf::Graph ShardedGraph(size_t shards) const {
     wdr::rdf::Graph g = data.graph;
-    auto store = std::make_unique<ShardedStore>(shards, StorageBackend::kFlat);
+    auto store = std::make_unique<ShardedStore>(shards);
     store->SetBroadcastPredicates(
         {data.vocab.sub_class_of, data.vocab.sub_property_of,
          data.vocab.domain, data.vocab.range});

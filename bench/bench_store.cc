@@ -1,9 +1,6 @@
 // Substrate microbenchmarks: the triple store primitives every technique
-// sits on — insert, point lookup, and the prefix scans behind each index.
-// Every benchmark runs through the StoreView seam with a backend argument
-// (0 = ordered node-based sets, 1 = flat sorted arrays + delta log), so the
-// two storage engines print side by side.
-#include <memory>
+// sits on — insert, point lookup, and the prefix scans behind each index —
+// measured on the flat store (sorted arrays + delta log).
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -11,25 +8,13 @@
 #include "bench_util.h"
 
 #include "common/rng.h"
-#include "rdf/store_view.h"
+#include "rdf/flat_triple_store.h"
 
 namespace {
 
-using wdr::rdf::MakeStore;
-using wdr::rdf::StorageBackend;
-using wdr::rdf::StorageBackendName;
-using wdr::rdf::StoreView;
+using wdr::rdf::FlatTripleStore;
 using wdr::rdf::TermId;
 using wdr::rdf::Triple;
-
-StorageBackend BackendArg(const benchmark::State& state) {
-  return state.range(0) == 0 ? StorageBackend::kOrdered
-                             : StorageBackend::kFlat;
-}
-
-void LabelBackend(benchmark::State& state) {
-  state.SetLabel(StorageBackendName(BackendArg(state)));
-}
 
 std::vector<Triple> RandomTriples(size_t n, uint64_t seed) {
   wdr::Rng rng(seed);
@@ -43,100 +28,86 @@ std::vector<Triple> RandomTriples(size_t n, uint64_t seed) {
   return triples;
 }
 
-// A populated store of the chosen backend (flat stores are compacted by the
-// batch path, so scans measure the merged layout).
-std::unique_ptr<StoreView> Populated(const benchmark::State& state,
-                                     const std::vector<Triple>& triples) {
-  std::unique_ptr<StoreView> store = MakeStore(BackendArg(state));
-  store->InsertBatch(triples);
+// A populated store, built by the batch path, so scans measure the merged
+// layout.
+FlatTripleStore Populated(const std::vector<Triple>& triples) {
+  FlatTripleStore store;
+  store.InsertBatch(triples);
   return store;
 }
 
 void BM_Insert(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples =
-      RandomTriples(static_cast<size_t>(state.range(1)), 1);
+      RandomTriples(static_cast<size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    std::unique_ptr<StoreView> store = MakeStore(BackendArg(state));
-    for (const Triple& t : triples) store->Insert(t);
-    benchmark::DoNotOptimize(store->size());
+    FlatTripleStore store;
+    for (const Triple& t : triples) store.Insert(t);
+    benchmark::DoNotOptimize(store.size());
   }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Insert)
-    ->ArgNames({"backend", "n"})
-    ->Args({0, 10000})
-    ->Args({1, 10000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
+    ->ArgName("n")
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_InsertBatch(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples =
-      RandomTriples(static_cast<size_t>(state.range(1)), 1);
+      RandomTriples(static_cast<size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    std::unique_ptr<StoreView> store = MakeStore(BackendArg(state));
-    benchmark::DoNotOptimize(store->InsertBatch(triples));
+    FlatTripleStore store;
+    benchmark::DoNotOptimize(store.InsertBatch(triples));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_InsertBatch)
-    ->ArgNames({"backend", "n"})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
+    ->ArgName("n")
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Contains(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples = RandomTriples(100000, 2);
-  std::unique_ptr<StoreView> store = Populated(state, triples);
+  FlatTripleStore store = Populated(triples);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store->Contains(triples[i % triples.size()]));
+    benchmark::DoNotOptimize(store.Contains(triples[i % triples.size()]));
     ++i;
   }
 }
-BENCHMARK(BM_Contains)->ArgName("backend")->Arg(0)->Arg(1);
+BENCHMARK(BM_Contains);
 
 void BM_EraseInsertChurn(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples = RandomTriples(100000, 3);
-  std::unique_ptr<StoreView> store = Populated(state, triples);
+  FlatTripleStore store = Populated(triples);
   size_t i = 0;
   for (auto _ : state) {
     const Triple& t = triples[i % triples.size()];
-    store->Erase(t);
-    store->Insert(t);
+    store.Erase(t);
+    store.Insert(t);
     ++i;
   }
 }
-BENCHMARK(BM_EraseInsertChurn)->ArgName("backend")->Arg(0)->Arg(1);
+BENCHMARK(BM_EraseInsertChurn);
 
 void BM_FullScan(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples = RandomTriples(100000, 4);
-  std::unique_ptr<StoreView> store = Populated(state, triples);
+  FlatTripleStore store = Populated(triples);
   size_t matched = 0;
   for (auto _ : state) {
     matched = 0;
-    store->Match(0, 0, 0, [&](const Triple&) { ++matched; });
+    store.Match(0, 0, 0, [&](const Triple&) { ++matched; });
     benchmark::DoNotOptimize(matched);
   }
   state.counters["rows/scan"] = static_cast<double>(matched);
 }
-BENCHMARK(BM_FullScan)
-    ->ArgName("backend")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullScan)->Unit(benchmark::kMillisecond);
 
 // The three prefix-scan shapes, one per index.
 template <int kBound>  // 0: s (SPO), 1: p (POS), 2: o (OSP)
 void BM_PrefixScan(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples = RandomTriples(100000, 4);
-  std::unique_ptr<StoreView> store = Populated(state, triples);
+  FlatTripleStore store = Populated(triples);
   size_t i = 0;
   size_t matched = 0;
   for (auto _ : state) {
@@ -145,7 +116,7 @@ void BM_PrefixScan(benchmark::State& state) {
     TermId p = kBound == 1 ? probe.p : 0;
     TermId o = kBound == 2 ? probe.o : 0;
     matched = 0;
-    store->Match(s, p, o, [&](const Triple&) { ++matched; });
+    store.Match(s, p, o, [&](const Triple&) { ++matched; });
     benchmark::DoNotOptimize(matched);
     ++i;
   }
@@ -154,26 +125,21 @@ void BM_PrefixScan(benchmark::State& state) {
 void BM_ScanBySubject(benchmark::State& state) { BM_PrefixScan<0>(state); }
 void BM_ScanByProperty(benchmark::State& state) { BM_PrefixScan<1>(state); }
 void BM_ScanByObject(benchmark::State& state) { BM_PrefixScan<2>(state); }
-BENCHMARK(BM_ScanBySubject)->ArgName("backend")->Arg(0)->Arg(1);
-BENCHMARK(BM_ScanByProperty)
-    ->ArgName("backend")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ScanByObject)->ArgName("backend")->Arg(0)->Arg(1);
+BENCHMARK(BM_ScanBySubject);
+BENCHMARK(BM_ScanByProperty)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanByObject);
 
 void BM_CountEstimate(benchmark::State& state) {
-  LabelBackend(state);
   std::vector<Triple> triples = RandomTriples(100000, 5);
-  std::unique_ptr<StoreView> store = Populated(state, triples);
+  FlatTripleStore store = Populated(triples);
   size_t i = 0;
   for (auto _ : state) {
     const Triple& probe = triples[i % triples.size()];
-    benchmark::DoNotOptimize(store->EstimateCount(probe.s, 0, 0));
+    benchmark::DoNotOptimize(store.EstimateCount(probe.s, 0, 0));
     ++i;
   }
 }
-BENCHMARK(BM_CountEstimate)->ArgName("backend")->Arg(0)->Arg(1);
+BENCHMARK(BM_CountEstimate);
 
 }  // namespace
 

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   // One-time costs.
   wdr::Timer timer;
   wdr::reasoning::SaturationStats sat_stats;
-  wdr::rdf::TripleStore closure = wdr::reasoning::Saturator::SaturateGraph(
+  auto closure = wdr::reasoning::Saturator::SaturateGraph(
       data.graph, data.vocab, &sat_stats);
   double sat_seconds = timer.ElapsedSeconds();
 

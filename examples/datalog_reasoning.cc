@@ -86,7 +86,7 @@ int main() {
             << stats.derived_tuples << " triples derived.\n";
 
   // Cross-check against the native saturator.
-  wdr::rdf::TripleStore native =
+  wdr::rdf::FlatTripleStore native =
       wdr::reasoning::Saturator::SaturateGraph(graph, vocab);
   std::cout << "Native saturator closure: " << native.size()
             << " triples; Datalog triple relation: "

@@ -81,7 +81,7 @@ int main() {
 
     // Route 1 — saturation: compile the knowledge into the data.
     wdr::reasoning::SaturationStats stats;
-    wdr::rdf::TripleStore closure =
+    wdr::rdf::FlatTripleStore closure =
         wdr::reasoning::Saturator::SaturateGraph(graph, vocab, &stats);
     wdr::query::Evaluator closure_eval(closure);
     wdr::query::ResultSet via_saturation = closure_eval.Evaluate(*query);

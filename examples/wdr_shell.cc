@@ -3,7 +3,7 @@
 //
 // Usage:
 //   wdr_shell [--mode=saturation|reformulation|backward|datalog|none|auto]
-//             [--backend=ordered|flat|sharded] [--shards=N] [--threads=N]
+//             [--backend=flat|sharded] [--shards=N] [--threads=N]
 //             [--query-threads=N] [--plan] [--encoding=on|off] [--explain]
 //             [--script=FILE] [--serve=PORT] [--listen=PORT] [file.ttl ...]
 //
@@ -19,8 +19,7 @@
 //                       routes each query through the online selector)
 //   .why                last auto-mode routing decision with its per-route
 //                       cost estimates
-//   .backend ENGINE     switch storage engine (ordered|flat|sharded) at
-//                       run time
+//   .backend ENGINE     switch storage engine (flat|sharded) at run time
 //   .shards N           re-partition the sharded backend to N shards
 //                       (deferred while scans are open; answers are
 //                       identical at any shard count)
@@ -125,7 +124,7 @@ void PrintHelp() {
                "saturation|reformulation|backward|datalog|none|auto\n"
                "  .why                  last auto-mode routing decision "
                "(estimates per route)\n"
-               "  .backend ENGINE       ordered|flat|sharded storage engine\n"
+               "  .backend ENGINE       flat|sharded storage engine\n"
                "  .shards N             re-partition the sharded backend to N "
                "shards (N >= 1)\n"
                "  .threads N            saturation worker threads (N >= 1)\n"
@@ -180,9 +179,7 @@ void PrintStats(const ReasoningStore& store) {
             << "  mode: " << ReasoningModeName(store.mode()) << "  backend: "
             << wdr::rdf::StorageBackendName(store.backend()) << "\n";
   if (const wdr::rdf::ShardedStore* sharded = store.sharded_store()) {
-    std::cout << "shards: " << sharded->shard_count() << " ("
-              << wdr::rdf::StorageBackendName(sharded->shard_backend())
-              << ")  sizes:";
+    std::cout << "shards: " << sharded->shard_count() << "  sizes:";
     for (size_t size : sharded->ShardSizes()) std::cout << " " << size;
     std::cout << "  schema: " << sharded->schema_store().size()
               << "  skew: " << sharded->SkewRatio();
@@ -244,10 +241,7 @@ bool StartListen(const ReasoningStore& store, int port) {
   options.query.threads = store.query_threads();
   options.saturation.threads = store.saturation_threads();
   options.encoding = store.encoding_enabled();
-  if (const wdr::rdf::ShardedStore* sharded = store.sharded_store()) {
-    options.shards = sharded->shard_count();
-    options.shard_backend = sharded->shard_backend();
-  }
+  options.shards = store.shard_count();
   g_snapshot_store =
       std::make_unique<wdr::server::SnapshotStore>(options);
   auto loaded = g_snapshot_store->LoadTurtle(wdr::io::WriteTurtle(
@@ -596,7 +590,6 @@ void RunDemo(ReasoningStore& store) {
       ".threads 2",
       ".qthreads 2",
       ".mode saturation",
-      ".backend flat",
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
       "PREFIX ex: <http://ex.org/> "
       "SELECT ?x WHERE { ?x rdf:type ex:Mammal }",

@@ -104,27 +104,27 @@ RdfDatalogTranslation TranslateGraph(const rdf::Graph& graph,
   return xlat;
 }
 
-Result<rdf::TripleStore> MaterializeViaDatalog(const rdf::Graph& graph,
-                                               const schema::Vocabulary& vocab,
-                                               Strategy strategy,
-                                               EvalStats* stats) {
+Result<rdf::FlatTripleStore> MaterializeViaDatalog(
+    const rdf::Graph& graph, const schema::Vocabulary& vocab,
+    Strategy strategy, EvalStats* stats) {
   MaterializeOptions options;
   options.strategy = strategy;
   return MaterializeViaDatalog(graph, vocab, options, stats);
 }
 
-Result<rdf::TripleStore> MaterializeViaDatalog(const rdf::Graph& graph,
-                                               const schema::Vocabulary& vocab,
-                                               const MaterializeOptions& options,
-                                               EvalStats* stats) {
+Result<rdf::FlatTripleStore> MaterializeViaDatalog(
+    const rdf::Graph& graph, const schema::Vocabulary& vocab,
+    const MaterializeOptions& options, EvalStats* stats) {
   RdfDatalogTranslation xlat = TranslateGraph(graph, vocab);
   WDR_ASSIGN_OR_RETURN(Database db,
                        MaterializeWithOptions(xlat.program, options, stats));
-  rdf::TripleStore closure;
+  std::vector<rdf::Triple> triples;
   for (const Tuple& t : db.relation(xlat.triple_pred).tuples()) {
-    closure.Insert(rdf::Triple(xlat.term_of_sym[t[0]], xlat.term_of_sym[t[1]],
-                               xlat.term_of_sym[t[2]]));
+    triples.emplace_back(xlat.term_of_sym[t[0]], xlat.term_of_sym[t[1]],
+                         xlat.term_of_sym[t[2]]);
   }
+  rdf::FlatTripleStore closure;
+  closure.Build(std::move(triples));
   return closure;
 }
 

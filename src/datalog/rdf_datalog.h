@@ -9,8 +9,8 @@
 #include "datalog/program.h"
 #include "query/evaluator.h"
 #include "query/query.h"
+#include "rdf/flat_triple_store.h"
 #include "rdf/graph.h"
-#include "rdf/triple_store.h"
 #include "schema/vocabulary.h"
 
 namespace wdr::datalog {
@@ -42,14 +42,14 @@ RdfDatalogTranslation TranslateGraph(const rdf::Graph& graph,
                                      const schema::Vocabulary& vocab);
 
 // Materializes the translated program and converts the `triple` relation
-// back into a TripleStore over the graph's dictionary ids.
-Result<rdf::TripleStore> MaterializeViaDatalog(
+// back into a flat store over the graph's dictionary ids.
+Result<rdf::FlatTripleStore> MaterializeViaDatalog(
     const rdf::Graph& graph, const schema::Vocabulary& vocab,
     Strategy strategy = Strategy::kSemiNaive, EvalStats* stats = nullptr);
 
 // Same, with the full materialization configuration (threads, the
 // wdr::exec physical-plan route, ...).
-Result<rdf::TripleStore> MaterializeViaDatalog(
+Result<rdf::FlatTripleStore> MaterializeViaDatalog(
     const rdf::Graph& graph, const schema::Vocabulary& vocab,
     const MaterializeOptions& options, EvalStats* stats = nullptr);
 

@@ -12,11 +12,11 @@
 
 namespace wdr::federation {
 
-Federation::Federation(rdf::StorageBackend backend)
-    : vocab_(schema::Vocabulary::Intern(dict_)), backend_(backend) {}
+Federation::Federation() : vocab_(schema::Vocabulary::Intern(dict_)) {}
 
 EndpointId Federation::AddEndpoint(std::string name) {
-  endpoints_.push_back(Endpoint{std::move(name), rdf::MakeStore(backend_)});
+  endpoints_.push_back(
+      Endpoint{std::move(name), std::make_unique<rdf::FlatTripleStore>()});
   return endpoints_.size() - 1;
 }
 
@@ -61,8 +61,8 @@ size_t Federation::size() const {
   return total;
 }
 
-rdf::TripleStore Federation::ClosedFederatedSchemaStore() const {
-  rdf::TripleStore merged;
+rdf::FlatTripleStore Federation::ClosedFederatedSchemaStore() const {
+  rdf::FlatTripleStore merged;
   for (const Endpoint& endpoint : endpoints_) {
     endpoint.store->Match(0, 0, 0, [&](const rdf::Triple& t) {
       if (vocab_.IsSchemaProperty(t.p)) merged.Insert(t);

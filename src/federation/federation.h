@@ -9,8 +9,8 @@
 #include "common/status.h"
 #include "query/evaluator.h"
 #include "rdf/dictionary.h"
+#include "rdf/flat_triple_store.h"
 #include "rdf/store_view.h"
-#include "rdf/triple_store.h"
 #include "rdf/union_store.h"
 #include "reformulation/reformulator.h"
 #include "schema/schema.h"
@@ -54,9 +54,7 @@ struct FederationQueryInfo {
 // ship mappings; dictionary mechanics are orthogonal to the algorithms).
 class Federation {
  public:
-  // `backend` selects the storage engine every endpoint store uses.
-  explicit Federation(
-      rdf::StorageBackend backend = rdf::StorageBackend::kOrdered);
+  Federation();
 
   // Registers an empty endpoint and returns its id.
   EndpointId AddEndpoint(std::string name);
@@ -90,8 +88,6 @@ class Federation {
 
   // Total triples across endpoints (duplicates counted per endpoint).
   size_t size() const;
-
-  rdf::StorageBackend backend() const { return backend_; }
 
   // Worker threads for the branches of the reformulated union (values < 1
   // clamp to 1); see EvaluatorOptions::threads. Answers are identical at
@@ -127,11 +123,11 @@ class Federation {
   // now survives across queries). Instance-only updates leave all of it
   // untouched.
   struct SchemaCache {
-    rdf::TripleStore closed_schema;
+    rdf::FlatTripleStore closed_schema;
     schema::Schema schema;
     reformulation::Reformulator reformulator;  // points into `schema`
 
-    SchemaCache(rdf::TripleStore closed, const schema::Vocabulary& vocab)
+    SchemaCache(rdf::FlatTripleStore closed, const schema::Vocabulary& vocab)
         : closed_schema(std::move(closed)),
           schema(schema::Schema::FromStore(closed_schema, vocab)),
           reformulator(schema, vocab) {}
@@ -141,11 +137,10 @@ class Federation {
   SchemaCache& CachedSchemaCache();
 
   // The union of all endpoints' schema triples, closed (rdfs5/rdfs11).
-  rdf::TripleStore ClosedFederatedSchemaStore() const;
+  rdf::FlatTripleStore ClosedFederatedSchemaStore() const;
 
   rdf::Dictionary dict_;
   schema::Vocabulary vocab_;
-  rdf::StorageBackend backend_;
   query::EvaluatorOptions query_options_;
   std::vector<Endpoint> endpoints_;
   uint64_t schema_rev_ = 1;

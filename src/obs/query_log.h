@@ -69,7 +69,7 @@ struct QueryLogRecord {
   std::string error;  // Status::ToString() when !ok
 
   // One JSON object (no trailing newline), e.g.:
-  //   {"id":1,"trace":3,"mode":"reformulation","backend":"ordered",
+  //   {"id":1,"trace":3,"mode":"reformulation","backend":"flat",
   //    "plan":true,"encoding":false,"union_size":14,...,"query":"..."}
   std::string ToJsonLine() const;
 };

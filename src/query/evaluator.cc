@@ -169,7 +169,7 @@ class ScanCache {
   }
 
   // Memoized greedy-ordering cardinality estimate for `key`, true on hit.
-  // On the ordered store EstimateCount is itself a capped scan, and the
+  // On the sharded store EstimateCount is itself a capped scan, and the
   // greedy pass re-estimates the same resolved pattern for every binding
   // of every branch (e.g. (?y type C) once per outer ?x) — the memo makes
   // each distinct estimate one probe per union evaluation. Estimates are

@@ -199,7 +199,10 @@ bool FlatTripleStore::Erase(const Triple& t) {
 size_t FlatTripleStore::InsertBatch(std::span<const Triple> batch) {
   if (batch.empty()) return 0;
   const size_t before = size();
-  if (before == 0) {
+  // An empty-looking store may still hold tombstoned main arrays that an
+  // open cursor or epoch pin points into; Build frees them, so it needs
+  // the same guard as a merge.
+  if (before == 0 && Restructurable()) {
     Build(std::vector<Triple>(batch.begin(), batch.end()));
     return size();
   }
@@ -294,7 +297,7 @@ size_t FlatTripleStore::EstimateCountRange(const ScanPlan& plan) const {
   }
   if (plan.s.is_any() && plan.p.is_any() && plan.o.is_any()) return size();
   // Exact main-window width in O(log n) — a better join-ordering signal
-  // than the ordered backend's capped enumeration — plus a capped walk of
+  // than StoreView's capped enumeration — plus a capped walk of
   // the (small) delta range. Tombstones are ignored: estimates only rank.
   auto [first, last] = MainRange(plan);
   size_t n = static_cast<size_t>(last - first);

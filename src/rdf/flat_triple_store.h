@@ -16,17 +16,17 @@
 
 namespace wdr::rdf {
 
-// The cache-friendly storage backend: three flat sorted arrays (SPO, POS,
-// OSP permutations) scanned with binary-search range lookups, plus a small
+// The single-store layout: three flat sorted arrays (SPO, POS, OSP
+// permutations) scanned with binary-search range lookups, plus a small
 // ordered delta log (inserts) and a tombstone set (erases) so updates stay
 // cheap. When the delta/tombstone volume crosses a threshold proportional
 // to the main arrays, it is merged in one linear pass — the classic
 // LSM-style amortization, giving contiguous scans on the hot read path
 // while keeping amortized-logarithmic updates.
 //
-// Scans merge the main range with the delta range in index order, so all
-// StoreView semantics (SPO-ordered ToVector, prefix scans) are identical
-// to the ordered backend; this is property-tested.
+// Scans merge the main range with the delta range in index order, so
+// ToVector is SPO-ordered and prefix scans are contiguous; every StoreView
+// observation is checked against the test oracle (storage_backend_test).
 class FlatTripleStore final : public StoreView {
  public:
   FlatTripleStore() = default;

@@ -28,7 +28,7 @@ struct GraphStats {
 // agnostic to the physical triple layout.
 class Graph {
  public:
-  explicit Graph(StorageBackend backend = StorageBackend::kOrdered)
+  explicit Graph(StorageBackend backend = StorageBackend::kFlat)
       : backend_(backend), store_(MakeStore(backend)) {}
 
   // Copyable: snapshotting the base graph is how benches restore state
@@ -103,7 +103,7 @@ class Graph {
 
  private:
   Dictionary dict_;
-  StorageBackend backend_ = StorageBackend::kOrdered;
+  StorageBackend backend_ = StorageBackend::kFlat;
   std::unique_ptr<StoreView> store_;
 };
 

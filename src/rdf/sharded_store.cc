@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "rdf/flat_triple_store.h"
 
 namespace wdr::rdf {
 namespace {
@@ -119,18 +120,17 @@ class ShardedScanCursor final : public ScanCursor {
 
 static_assert(sizeof(ShardedScanCursor) <= ScanHandle::kInlineBytes);
 
-ShardedStore::ShardedStore(size_t shard_count, StorageBackend shard_backend)
-    : shard_backend_(shard_backend), schema_(MakeStore(shard_backend)) {
+ShardedStore::ShardedStore(size_t shard_count)
+    : schema_(std::make_unique<FlatTripleStore>()) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(MakeStore(shard_backend_));
+    shards_.push_back(std::make_unique<FlatTripleStore>());
   }
 }
 
 ShardedStore::ShardedStore(const ShardedStore& other)
-    : shard_backend_(other.shard_backend_),
-      schema_(other.schema_->Clone()),
+    : schema_(other.schema_->Clone()),
       broadcast_preds_(other.broadcast_preds_),
       pending_shard_count_(other.pending_shard_count_) {
   shards_.reserve(other.shards_.size());
@@ -139,7 +139,6 @@ ShardedStore::ShardedStore(const ShardedStore& other)
 
 ShardedStore& ShardedStore::operator=(const ShardedStore& other) {
   if (this == &other) return *this;
-  shard_backend_ = other.shard_backend_;
   schema_ = other.schema_->Clone();
   shards_.clear();
   shards_.reserve(other.shards_.size());
@@ -150,15 +149,13 @@ ShardedStore& ShardedStore::operator=(const ShardedStore& other) {
 }
 
 ShardedStore::ShardedStore(ShardedStore&& other) noexcept
-    : shard_backend_(other.shard_backend_),
-      schema_(std::move(other.schema_)),
+    : schema_(std::move(other.schema_)),
       shards_(std::move(other.shards_)),
       broadcast_preds_(std::move(other.broadcast_preds_)),
       pending_shard_count_(other.pending_shard_count_) {}
 
 ShardedStore& ShardedStore::operator=(ShardedStore&& other) noexcept {
   if (this == &other) return *this;
-  shard_backend_ = other.shard_backend_;
   schema_ = std::move(other.schema_);
   shards_ = std::move(other.shards_);
   broadcast_preds_ = std::move(other.broadcast_preds_);
@@ -240,8 +237,8 @@ void ShardedStore::LocalView::OpenScan(ScanHandle& handle,
 
 std::unique_ptr<StoreView> ShardedStore::LocalView::Clone() const {
   // Snapshot clone: the view is a borrowing composite, so a deep copy
-  // materializes into a plain store of the member backend.
-  std::unique_ptr<StoreView> copy = MakeStore(backend_);
+  // materializes into a plain flat store.
+  auto copy = std::make_unique<FlatTripleStore>();
   copy->InsertBatch(ToVector());
   return copy;
 }
@@ -311,10 +308,9 @@ size_t ShardedStore::CountRange(const ScanPlan& plan) const {
 }
 
 size_t ShardedStore::EstimateCount(TermId s, TermId p, TermId o) const {
-  // Same capped-enumeration algorithm as the single ordered store, run
-  // over the merged cursor: estimates depend only on store *contents*, so
-  // the cost-based join order — and the result row stream — is identical
-  // at every shard count.
+  // StoreView's capped-enumeration estimate, run over the merged cursor:
+  // estimates depend only on store *contents*, so the cost-based join
+  // order — and the result row stream — is identical at every shard count.
   const bool bs = s != kNullTermId;
   const bool bp = p != kNullTermId;
   const bool bo = o != kNullTermId;
@@ -353,7 +349,7 @@ bool ShardedStore::TryCompact() {
 std::unique_ptr<StoreView> ShardedStore::MakeEmpty() const {
   const size_t n =
       pending_shard_count_ != 0 ? pending_shard_count_ : shards_.size();
-  auto empty = std::make_unique<ShardedStore>(n, shard_backend_);
+  auto empty = std::make_unique<ShardedStore>(n);
   empty->broadcast_preds_ = broadcast_preds_;
   return empty;
 }
@@ -377,7 +373,9 @@ void ShardedStore::RepartitionNow(size_t n) {
   }
   std::vector<std::unique_ptr<StoreView>> next;
   next.reserve(n);
-  for (size_t i = 0; i < n; ++i) next.push_back(MakeStore(shard_backend_));
+  for (size_t i = 0; i < n; ++i) {
+    next.push_back(std::make_unique<FlatTripleStore>());
+  }
   shards_ = std::move(next);
   pending_shard_count_ = 0;
   InsertBatch(instance);

@@ -31,8 +31,7 @@ class ShardedStore final : public StoreView {
  public:
   static constexpr size_t kDefaultShardCount = 4;
 
-  explicit ShardedStore(size_t shard_count = kDefaultShardCount,
-                        StorageBackend shard_backend = StorageBackend::kFlat);
+  explicit ShardedStore(size_t shard_count = kDefaultShardCount);
 
   // Copies and moves carry data and configuration but not the open-scan /
   // epoch-pin counters (those belong to readers of the source object).
@@ -44,7 +43,6 @@ class ShardedStore final : public StoreView {
   // --- Partitioning configuration ---------------------------------------
 
   size_t shard_count() const { return shards_.size(); }
-  StorageBackend shard_backend() const { return shard_backend_; }
 
   // Requests `n` shards. Applied immediately when no scans are open and no
   // epochs pinned (returns true); otherwise recorded and applied lazily at
@@ -89,9 +87,8 @@ class ShardedStore final : public StoreView {
   // members; it must not outlive the ShardedStore or a re-partition.
   class LocalView final : public StoreView {
    public:
-    LocalView(const StoreView* schema, const StoreView* shard,
-              StorageBackend backend)
-        : members_{schema, shard}, backend_(backend) {}
+    LocalView(const StoreView* schema, const StoreView* shard)
+        : members_{schema, shard} {}
 
     // Read-only: mutations are contract violations and report no-ops.
     bool Insert(const Triple&) override { return false; }
@@ -113,16 +110,15 @@ class ShardedStore final : public StoreView {
     }
     using StoreView::OpenScan;
     void OpenScan(ScanHandle& handle, const ScanPlan& plan) const override;
-    StorageBackend backend() const override { return backend_; }
+    StorageBackend backend() const override { return StorageBackend::kFlat; }
     std::unique_ptr<StoreView> Clone() const override;
 
    private:
     const StoreView* members_[2];
-    StorageBackend backend_;
   };
 
   LocalView ShardLocalView(size_t i) const {
-    return LocalView(schema_.get(), shards_[i].get(), shard_backend_);
+    return LocalView(schema_.get(), shards_[i].get());
   }
 
   // --- StoreView interface ----------------------------------------------
@@ -184,7 +180,6 @@ class ShardedStore final : public StoreView {
   void CollectMembers(const ScanPlan& plan,
                       std::vector<const StoreView*>* members) const;
 
-  StorageBackend shard_backend_;
   std::unique_ptr<StoreView> schema_;          // broadcast (schema) triples
   std::vector<std::unique_ptr<StoreView>> shards_;  // instance partitions
   std::vector<TermId> broadcast_preds_;

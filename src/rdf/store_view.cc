@@ -2,14 +2,11 @@
 
 #include "rdf/flat_triple_store.h"
 #include "rdf/sharded_store.h"
-#include "rdf/triple_store.h"
 
 namespace wdr::rdf {
 
 const char* StorageBackendName(StorageBackend backend) {
   switch (backend) {
-    case StorageBackend::kOrdered:
-      return "ordered";
     case StorageBackend::kFlat:
       return "flat";
     case StorageBackend::kSharded:
@@ -19,9 +16,7 @@ const char* StorageBackendName(StorageBackend backend) {
 }
 
 bool ParseStorageBackend(std::string_view name, StorageBackend* backend) {
-  if (name == "ordered") {
-    *backend = StorageBackend::kOrdered;
-  } else if (name == "flat") {
+  if (name == "flat") {
     *backend = StorageBackend::kFlat;
   } else if (name == "sharded") {
     *backend = StorageBackend::kSharded;
@@ -88,14 +83,12 @@ std::unique_ptr<StoreView> StoreView::MakeEmpty() const {
 
 std::unique_ptr<StoreView> MakeStore(StorageBackend backend) {
   switch (backend) {
-    case StorageBackend::kOrdered:
-      return std::make_unique<TripleStore>();
     case StorageBackend::kFlat:
       return std::make_unique<FlatTripleStore>();
     case StorageBackend::kSharded:
       return std::make_unique<ShardedStore>();
   }
-  return std::make_unique<TripleStore>();
+  return std::make_unique<FlatTripleStore>();
 }
 
 }  // namespace wdr::rdf

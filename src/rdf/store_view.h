@@ -234,9 +234,8 @@ bool InvokeMatchFn(Fn&& fn, const Triple& t) {
 
 // Available storage engines behind the StoreView seam.
 enum class StorageBackend {
-  kOrdered,  // TripleStore: three node-based ordered sets, O(log n) updates
-  kFlat,     // FlatTripleStore: flat sorted arrays + delta log, fast scans
-  kSharded,  // ShardedStore: subject-hash partitioned composite of the above
+  kFlat,     // FlatTripleStore: flat sorted arrays + delta log
+  kSharded,  // ShardedStore: subject-hash partitioned flat stores
 };
 
 const char* StorageBackendName(StorageBackend backend);
@@ -244,7 +243,7 @@ bool ParseStorageBackend(std::string_view name, StorageBackend* backend);
 
 // The storage-engine seam: everything the reasoning, query, backward,
 // federation and store layers need from triple storage. Concrete layouts
-// (ordered sets, flat arrays, future columnar/sharded backends) live behind
+// (the flat store and the sharded composite of flat stores) live behind
 // this interface; no consumer outside src/rdf names a backend type on its
 // evaluation path.
 //
@@ -362,8 +361,6 @@ class StoreView {
   // are for open cursors (the open_scans_ contract generalized from one
   // scan to one reader). Pins are counted, not owned; use EpochPin (below)
   // for scope safety. Thread-safe: concurrent readers pin and unpin freely.
-  // Backends whose nodes are stable under mutation (the ordered backend)
-  // only count, since they never restructure.
 
   virtual void PinEpoch() const {}
   virtual void UnpinEpoch() const {}

@@ -23,7 +23,9 @@ struct Triple {
   friend auto operator<=>(const Triple&, const Triple&) = default;
 };
 
-std::ostream& operator<<(std::ostream& os, const Triple& t);
+inline std::ostream& operator<<(std::ostream& os, const Triple& t) {
+  return os << "(" << t.s << " " << t.p << " " << t.o << ")";
+}
 
 struct TripleHash {
   size_t operator()(const Triple& t) const {

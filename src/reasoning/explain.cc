@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "rdf/triple_store.h"
+#include "rdf/flat_triple_store.h"
 
 namespace wdr::reasoning {
 namespace {
@@ -12,7 +12,6 @@ namespace {
 using rdf::StoreView;
 using rdf::Triple;
 using rdf::TripleHash;
-using rdf::TripleStore;
 
 struct Provenance {
   RuleId rule;
@@ -37,7 +36,7 @@ Result<Explanation> Explain(const StoreView& base,
   // were present before the conclusion, so following provenance links
   // always terminates even through cyclic schemas.
   RuleEngine engine(vocab, dict, enable_owl);
-  TripleStore working;
+  rdf::FlatTripleStore working;
   std::deque<Triple> worklist;
   base.Match(0, 0, 0, [&](const Triple& t) {
     working.Insert(t);

@@ -384,20 +384,19 @@ Status Saturator::SaturateInto(const rdf::StoreView& base,
   return Status::Ok();
 }
 
-rdf::TripleStore Saturator::Saturate(const rdf::StoreView& base,
-                                     SaturationStats* stats,
-                                     const SaturationOptions& options) const {
-  rdf::TripleStore closure;
+rdf::FlatTripleStore Saturator::Saturate(
+    const rdf::StoreView& base, SaturationStats* stats,
+    const SaturationOptions& options) const {
+  rdf::FlatTripleStore closure;
   // A freshly constructed closure is empty, so this cannot fail.
   Status status = SaturateInto(base, closure, options, stats);
   (void)status;
   return closure;
 }
 
-rdf::TripleStore Saturator::SaturateGraph(const rdf::Graph& graph,
-                                          const schema::Vocabulary& vocab,
-                                          SaturationStats* stats,
-                                          const SaturationOptions& options) {
+rdf::FlatTripleStore Saturator::SaturateGraph(
+    const rdf::Graph& graph, const schema::Vocabulary& vocab,
+    SaturationStats* stats, const SaturationOptions& options) {
   Saturator saturator(vocab, &graph.dict());
   return saturator.Saturate(graph.store(), stats, options);
 }

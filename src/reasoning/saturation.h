@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "rdf/flat_triple_store.h"
 #include "rdf/graph.h"
-#include "rdf/triple_store.h"
 #include "reasoning/rules.h"
 #include "schema/vocabulary.h"
 
@@ -82,16 +82,15 @@ class Saturator {
     return SaturateInto(base, closure, SaturationOptions{}, stats);
   }
 
-  // Convenience: returns base ∪ entailed triples in an ordered store.
-  rdf::TripleStore Saturate(const rdf::StoreView& base,
-                            SaturationStats* stats = nullptr,
-                            const SaturationOptions& options = {}) const;
+  // Convenience: returns base ∪ entailed triples in a flat store.
+  rdf::FlatTripleStore Saturate(const rdf::StoreView& base,
+                                SaturationStats* stats = nullptr,
+                                const SaturationOptions& options = {}) const;
 
   // Convenience: saturates `graph`'s store using its dictionary.
-  static rdf::TripleStore SaturateGraph(const rdf::Graph& graph,
-                                        const schema::Vocabulary& vocab,
-                                        SaturationStats* stats = nullptr,
-                                        const SaturationOptions& options = {});
+  static rdf::FlatTripleStore SaturateGraph(
+      const rdf::Graph& graph, const schema::Vocabulary& vocab,
+      SaturationStats* stats = nullptr, const SaturationOptions& options = {});
 
   const RuleEngine& engine() const { return engine_; }
 

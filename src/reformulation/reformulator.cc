@@ -426,12 +426,12 @@ Result<UnionQuery> Reformulator::Reformulate(const UnionQuery& q,
 }
 
 size_t CloseSchema(rdf::Graph& graph, const schema::Vocabulary& vocab) {
-  rdf::TripleStore schema_triples;
+  rdf::FlatTripleStore schema_triples;
   graph.store().Match(0, 0, 0, [&](const rdf::Triple& t) {
     if (vocab.IsSchemaProperty(t.p)) schema_triples.Insert(t);
   });
   reasoning::Saturator saturator(vocab, &graph.dict());
-  rdf::TripleStore closed = saturator.Saturate(schema_triples);
+  rdf::FlatTripleStore closed = saturator.Saturate(schema_triples);
   size_t added = 0;
   closed.Match(0, 0, 0, [&](const rdf::Triple& t) {
     if (graph.store().Insert(t)) ++added;

@@ -133,8 +133,7 @@ ReasoningStore::ReasoningStore(ReasoningStoreOptions options)
 void ReasoningStore::ConfigureShardedStore() {
   if (options_.backend != rdf::StorageBackend::kSharded) return;
   if (options_.shards < 1) options_.shards = 1;
-  auto replacement = std::make_unique<rdf::ShardedStore>(
-      options_.shards, options_.shard_backend);
+  auto replacement = std::make_unique<rdf::ShardedStore>(options_.shards);
   // Broadcasting the constraint predicates keeps every shard's local join
   // view complete for the RDFS rules (reasoning/saturation.cc's
   // shard-local propagation requires exactly this set).
@@ -219,12 +218,12 @@ void ReasoningStore::RecloseSchema() {
   for (const rdf::Triple& t : derived_schema_) graph_.Erase(t);
   derived_schema_.clear();
 
-  rdf::TripleStore schema_triples;
+  rdf::FlatTripleStore schema_triples;
   graph_.store().Match(0, 0, 0, [&](const rdf::Triple& t) {
     if (vocab_.IsSchemaProperty(t.p)) schema_triples.Insert(t);
   });
   reasoning::Saturator saturator(vocab_, &graph_.dict());
-  rdf::TripleStore closed = saturator.Saturate(schema_triples);
+  rdf::FlatTripleStore closed = saturator.Saturate(schema_triples);
   closed.Match(0, 0, 0, [&](const rdf::Triple& t) {
     if (graph_.Insert(t)) derived_schema_.push_back(t);
   });
@@ -883,7 +882,7 @@ Result<std::string> ReasoningStore::ExplainTriple(
   });
 
   const rdf::StoreView* closure = nullptr;
-  rdf::TripleStore transient;
+  rdf::FlatTripleStore transient;
   if (saturated_.has_value()) {
     closure = &saturated_->closure();
   } else {

@@ -72,14 +72,13 @@ ReasoningMode ReasoningModeDefault();
 struct ReasoningStoreOptions {
   ReasoningMode mode = ReasoningModeDefault();
   // Storage engine for the base graph and (in saturation mode) the closure.
-  rdf::StorageBackend backend = rdf::StorageBackend::kOrdered;
+  rdf::StorageBackend backend = rdf::StorageBackend::kFlat;
   // kSharded only: number of subject-hash partitions (values < 1 clamp to
-  // 1) and the storage engine of each partition. Schema triples (the RDFS
-  // constraint predicates plus owl:inverseOf) are broadcast to a shared
-  // schema member so shard-local saturation stays complete. Answers are
-  // identical at any shard count.
+  // 1), each a flat store. Schema triples (the RDFS constraint predicates
+  // plus owl:inverseOf) are broadcast to a shared schema member so
+  // shard-local saturation stays complete. Answers are identical at any
+  // shard count.
   size_t shards = rdf::ShardedStore::kDefaultShardCount;
-  rdf::StorageBackend shard_backend = rdf::StorageBackend::kFlat;
   // Passed through to the reformulation engine (kReformulation mode).
   reformulation::ReformulationOptions reformulation;
   // Passed through to the saturator (kSaturation mode): threads for the

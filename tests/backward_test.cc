@@ -17,8 +17,8 @@ using query::BgpQuery;
 using query::Evaluator;
 using query::ResultSet;
 using query::UnionQuery;
+using rdf::FlatTripleStore;
 using rdf::Graph;
-using rdf::TripleStore;
 using schema::Schema;
 using schema::Vocabulary;
 using test::Add;
@@ -45,7 +45,7 @@ class BackwardTest : public ::testing::Test {
   }
 
   ResultSet AnswerSaturated(const UnionQuery& q) {
-    TripleStore closure = reasoning::Saturator::SaturateGraph(g_, v_);
+    FlatTripleStore closure = reasoning::Saturator::SaturateGraph(g_, v_);
     Evaluator evaluator(closure);
     ResultSet result = evaluator.Evaluate(q);
     result.Normalize();
@@ -116,7 +116,7 @@ TEST(BackwardPropertyTest, AgreesWithSaturationAndReformulation) {
     reformulation::CloseSchema(rg.graph, rg.vocab);
     Schema schema = Schema::FromGraph(rg.graph, rg.vocab);
 
-    TripleStore closure =
+    FlatTripleStore closure =
         reasoning::Saturator::SaturateGraph(rg.graph, rg.vocab);
     Evaluator closure_eval(closure);
     Evaluator base_eval(rg.graph.store());

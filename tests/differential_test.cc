@@ -3,7 +3,7 @@
 // Each seed builds a random schema-closed graph and asserts that all
 // answering routes — saturation (sequential and parallel at 1/2/8
 // threads), reformulation, backward chaining, Datalog, and Datalog with
-// magic sets — agree on both storage backends. Environment knobs:
+// magic sets — agree. Environment knobs:
 //
 //   WDR_SEED            base seed (default 20250807)
 //   WDR_DIFF_INSTANCES  number of instances (default 50)
@@ -67,11 +67,11 @@ TEST(DifferentialTest, StoreModeOverridesAgreeOnRandomInstances) {
   }
 }
 
-// Sharded-execution lock: the hash-partitioned store at 1/2/4/8 shards,
-// over both per-shard backends, reproduces the ordered single-store
-// reference exactly (closure and answers), including through the store
+// Sharded-execution lock: the hash-partitioned store at 1/2/4/8 shards
+// reproduces the flat single-store reference (closure and answer sets) and
+// its own 1-shard row streams bit for bit, including through the store
 // front door with a live re-partition between queries. Instance count
-// defaults lower than the main differential: each instance runs 16
+// defaults lower than the main differential: each instance runs 8
 // saturations plus three store configurations.
 TEST(DifferentialTest, ShardedStoreAgreesOnRandomInstances) {
   const uint64_t base_seed = test::EnvU64("WDR_SEED", kDefaultBaseSeed);
@@ -91,7 +91,7 @@ TEST(SaturateIntoContract, RejectsNonEmptyClosure) {
   test::Add(g, "Tom", schema::iri::kType, "Cat");
 
   reasoning::Saturator saturator(vocab, &g.dict());
-  rdf::TripleStore closure;
+  rdf::FlatTripleStore closure;
   closure.Insert(rdf::Triple(1, 2, 3));
   Status status =
       saturator.SaturateInto(g.store(), closure, reasoning::SaturationOptions{});
@@ -100,7 +100,7 @@ TEST(SaturateIntoContract, RejectsNonEmptyClosure) {
   // The pre-existing triple must not have been mixed into anything.
   EXPECT_EQ(closure.size(), 1u);
 
-  rdf::TripleStore fresh;
+  rdf::FlatTripleStore fresh;
   EXPECT_TRUE(
       saturator.SaturateInto(g.store(), fresh, reasoning::SaturationOptions{})
           .ok());

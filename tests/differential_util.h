@@ -7,12 +7,11 @@
 //    re-encoded graph snapshot), backward chaining (legacy and
 //    physical-plan), Datalog (legacy and physical-plan bodies),
 //    Datalog + magic sets}
-//     × {ordered, flat} storage backends
 //
 // and, in the sharded instance, the hash-partitioned composite store at
-// {1, 2, 4, 8} shards × {ordered, flat} per-shard backends against the
-// ordered single-store reference (closure set-identical, legacy answers
-// bit-identical, plan/exchange answers set-identical),
+// {1, 2, 4, 8} shards against the flat single-store reference (closure
+// and answers set-identical) and against its own 1-shard run (legacy rows
+// bit-identical),
 //
 // plus closure-level equality between the sequential saturator, the
 // parallel saturator at every thread count, and the Datalog
@@ -190,242 +189,224 @@ inline ::testing::AssertionResult RunDifferentialInstance(
   // techniques (q_ref(G) = q(G∞) needs schema-closed G).
   reformulation::CloseSchema(rg.graph, rg.vocab);
 
-  // Per-query canonical answers from the ordered backend, compared against
-  // the flat backend's on the second pass.
-  std::vector<std::set<std::vector<std::string>>> canonical;
+  const rdf::Graph& graph = rg.graph;
 
-  for (rdf::StorageBackend backend :
-       {rdf::StorageBackend::kOrdered, rdf::StorageBackend::kFlat}) {
-    const char* backend_name = rdf::StorageBackendName(backend);
-    rdf::Graph graph = rg.graph;
-    graph.SetBackend(backend);
+  // --- Closure equality: sequential vs parallel vs Datalog. --------------
+  reasoning::SaturatedGraph sequential(graph, rg.vocab);
+  const std::vector<rdf::Triple> closure_seq =
+      SortedTriples(sequential.closure());
+  for (int threads : config.parallel_threads) {
+    reasoning::SaturationOptions options;
+    options.threads = threads;
+    reasoning::SaturatedGraph parallel(graph, rg.vocab,
+                                       /*enable_owl=*/false, options);
+    if (SortedTriples(parallel.closure()) != closure_seq) {
+      return fail("parallel closure (threads=" + std::to_string(threads) +
+                  ") differs from sequential");
+    }
+  }
+  Result<rdf::FlatTripleStore> via_datalog =
+      datalog::MaterializeViaDatalog(graph, rg.vocab);
+  if (!via_datalog.ok()) {
+    return fail("MaterializeViaDatalog failed: " +
+                via_datalog.status().ToString());
+  }
+  if (SortedTriples(*via_datalog) != closure_seq) {
+    return fail("Datalog materialization differs from the native closure");
+  }
 
-    // --- Closure equality: sequential vs parallel vs Datalog. ------------
-    reasoning::SaturatedGraph sequential(graph, rg.vocab);
-    const std::vector<rdf::Triple> closure_seq =
-        SortedTriples(sequential.closure());
-    for (int threads : config.parallel_threads) {
-      reasoning::SaturationOptions options;
-      options.threads = threads;
-      reasoning::SaturatedGraph parallel(graph, rg.vocab,
-                                         /*enable_owl=*/false, options);
-      if (SortedTriples(parallel.closure()) != closure_seq) {
-        return fail(std::string("parallel closure (threads=") +
-                    std::to_string(threads) + ", backend=" + backend_name +
-                    ") differs from sequential");
+  // --- Answer-set equality across every answering route. -----------------
+  schema::Schema schema = schema::Schema::FromGraph(graph, rg.vocab);
+  query::Evaluator closure_eval(sequential.closure());
+  query::Evaluator base_eval(graph.store());
+  reformulation::Reformulator reformulator(schema, rg.vocab);
+  backward::BackwardChainingEvaluator backward_eval(graph.store(), schema,
+                                                    rg.vocab);
+  // Physical-plan routes: fresh statistics (the store does not change
+  // below), plan-mode backward chaining, and plan-compiled Datalog
+  // query bodies.
+  const exec::Statistics plan_stats = exec::Statistics::Build(graph.store());
+  backward::BackwardOptions backward_plan_options;
+  backward_plan_options.plan = true;
+  backward_plan_options.stats = &plan_stats;
+  backward::BackwardChainingEvaluator backward_plan_eval(
+      graph.store(), schema, rg.vocab, backward_plan_options);
+  const datalog::BodyPlanOptions datalog_plan_options;
+  // Hierarchy-encoded reformulation route: a snapshot of the graph is
+  // re-encoded into interval id space; each query is remapped through
+  // the permutation, reformulated with the union collapse (range atoms
+  // replacing subclass/subproperty enumerations), and must answer
+  // identically to every other route (compared in decoded string space,
+  // which is id-space-agnostic).
+  rdf::Graph encoded = graph;
+  rdf::HierEncoding hier = rdf::HierEncoding::Build(schema, encoded.dict());
+  encoded.ApplyPermutation(hier.permutation());
+  schema::Vocabulary enc_vocab = schema::Vocabulary::Intern(encoded.dict());
+  schema::Schema enc_schema = schema::Schema::FromGraph(encoded, enc_vocab);
+  reformulation::ReformulationOptions enc_ref_options;
+  enc_ref_options.encoding = &hier;
+  reformulation::Reformulator enc_reformulator(enc_schema, enc_vocab,
+                                               enc_ref_options);
+  query::Evaluator enc_eval(encoded.store());
+  datalog::RdfDatalogTranslation xlat =
+      datalog::TranslateGraph(graph, rg.vocab);
+  Result<datalog::Database> db =
+      datalog::Materialize(xlat.program, datalog::Strategy::kSemiNaive);
+  if (!db.ok()) {
+    return fail("Datalog materialization failed: " + db.status().ToString());
+  }
+
+  // Query stream: derived from the seed only, so any rerun sees the same
+  // queries.
+  Rng query_rng(seed ^ 0x9e3779b97f4a7c15ull);
+  for (int k = 0; k < config.queries_per_instance; ++k) {
+    const query::UnionQuery q =
+        query::UnionQuery::Single(MakeRandomQuery(query_rng, rg));
+    const std::string label = "query " + std::to_string(k);
+
+    query::ResultSet via_sat = closure_eval.Evaluate(q);
+    const std::set<std::vector<std::string>> expected =
+        Rows(rg.graph, via_sat);
+
+    Result<query::UnionQuery> reformulated = reformulator.Reformulate(q);
+    if (!reformulated.ok()) {
+      return fail(label +
+                  ": reformulation failed: " +
+                  reformulated.status().ToString());
+    }
+    if (Rows(rg.graph, base_eval.Evaluate(*reformulated)) != expected) {
+      return fail(label + ": reformulation differs from saturation");
+    }
+
+    // Hierarchy-encoded reformulation must be answer-identical to the
+    // classic UCQ route (and so to saturation), and its memoized second
+    // rewriting must reproduce the same union.
+    {
+      const query::UnionQuery enc_q = RemapUnion(q, hier);
+      Result<query::UnionQuery> enc_ref = enc_reformulator.Reformulate(enc_q);
+      if (!enc_ref.ok()) {
+        return fail(label + ": encoded reformulation failed: " +
+                    enc_ref.status().ToString());
       }
-    }
-    Result<rdf::TripleStore> via_datalog =
-        datalog::MaterializeViaDatalog(graph, rg.vocab);
-    if (!via_datalog.ok()) {
-      return fail("MaterializeViaDatalog failed: " +
-                  via_datalog.status().ToString());
-    }
-    if (SortedTriples(*via_datalog) != closure_seq) {
-      return fail(std::string("Datalog materialization (backend=") +
-                  backend_name + ") differs from the native closure");
-    }
-
-    // --- Answer-set equality across every answering route. ---------------
-    schema::Schema schema = schema::Schema::FromGraph(graph, rg.vocab);
-    query::Evaluator closure_eval(sequential.closure());
-    query::Evaluator base_eval(graph.store());
-    reformulation::Reformulator reformulator(schema, rg.vocab);
-    backward::BackwardChainingEvaluator backward_eval(graph.store(), schema,
-                                                      rg.vocab);
-    // Physical-plan routes: fresh statistics (the store does not change
-    // below), plan-mode backward chaining, and plan-compiled Datalog
-    // query bodies.
-    const exec::Statistics plan_stats = exec::Statistics::Build(graph.store());
-    backward::BackwardOptions backward_plan_options;
-    backward_plan_options.plan = true;
-    backward_plan_options.stats = &plan_stats;
-    backward::BackwardChainingEvaluator backward_plan_eval(
-        graph.store(), schema, rg.vocab, backward_plan_options);
-    const datalog::BodyPlanOptions datalog_plan_options;
-    // Hierarchy-encoded reformulation route: a snapshot of the graph is
-    // re-encoded into interval id space; each query is remapped through
-    // the permutation, reformulated with the union collapse (range atoms
-    // replacing subclass/subproperty enumerations), and must answer
-    // identically to every other route (compared in decoded string space,
-    // which is id-space-agnostic).
-    rdf::Graph encoded = graph;
-    rdf::HierEncoding hier = rdf::HierEncoding::Build(schema, encoded.dict());
-    encoded.ApplyPermutation(hier.permutation());
-    schema::Vocabulary enc_vocab = schema::Vocabulary::Intern(encoded.dict());
-    schema::Schema enc_schema = schema::Schema::FromGraph(encoded, enc_vocab);
-    reformulation::ReformulationOptions enc_ref_options;
-    enc_ref_options.encoding = &hier;
-    reformulation::Reformulator enc_reformulator(enc_schema, enc_vocab,
-                                                 enc_ref_options);
-    query::Evaluator enc_eval(encoded.store());
-    datalog::RdfDatalogTranslation xlat =
-        datalog::TranslateGraph(graph, rg.vocab);
-    Result<datalog::Database> db =
-        datalog::Materialize(xlat.program, datalog::Strategy::kSemiNaive);
-    if (!db.ok()) {
-      return fail("Datalog materialization failed: " + db.status().ToString());
-    }
-
-    // Query stream: derived from the seed only, so both backends (and any
-    // rerun) see the same queries.
-    Rng query_rng(seed ^ 0x9e3779b97f4a7c15ull);
-    for (int k = 0; k < config.queries_per_instance; ++k) {
-      const query::UnionQuery q =
-          query::UnionQuery::Single(MakeRandomQuery(query_rng, rg));
-      const std::string label = "query " + std::to_string(k) +
-                                " (backend=" + backend_name + ")";
-
-      query::ResultSet via_sat = closure_eval.Evaluate(q);
-      const std::set<std::vector<std::string>> expected =
-          Rows(rg.graph, via_sat);
-
-      Result<query::UnionQuery> reformulated = reformulator.Reformulate(q);
-      if (!reformulated.ok()) {
+      if (Rows(encoded, enc_eval.Evaluate(*enc_ref)) != expected) {
         return fail(label +
-                    ": reformulation failed: " +
-                    reformulated.status().ToString());
+                    ": hierarchy-encoded reformulation differs from "
+                    "saturation");
       }
-      if (Rows(rg.graph, base_eval.Evaluate(*reformulated)) != expected) {
-        return fail(label + ": reformulation differs from saturation");
+      Result<query::UnionQuery> enc_again =
+          enc_reformulator.Reformulate(enc_q);
+      if (!enc_again.ok() || enc_again->size() != enc_ref->size() ||
+          Rows(encoded, enc_eval.Evaluate(*enc_again)) != expected) {
+        return fail(label +
+                    ": memoized encoded reformulation differs from the "
+                    "first rewriting");
       }
+    }
 
-      // Hierarchy-encoded reformulation must be answer-identical to the
-      // classic UCQ route (and so to saturation), and its memoized second
-      // rewriting must reproduce the same union.
-      {
-        const query::UnionQuery enc_q = RemapUnion(q, hier);
-        Result<query::UnionQuery> enc_ref = enc_reformulator.Reformulate(enc_q);
-        if (!enc_ref.ok()) {
-          return fail(label + ": encoded reformulation failed: " +
-                      enc_ref.status().ToString());
-        }
-        if (Rows(encoded, enc_eval.Evaluate(*enc_ref)) != expected) {
-          return fail(label +
-                      ": hierarchy-encoded reformulation differs from "
-                      "saturation");
-        }
-        Result<query::UnionQuery> enc_again =
-            enc_reformulator.Reformulate(enc_q);
-        if (!enc_again.ok() || enc_again->size() != enc_ref->size() ||
-            Rows(encoded, enc_eval.Evaluate(*enc_again)) != expected) {
-          return fail(label +
-                      ": memoized encoded reformulation differs from the "
-                      "first rewriting");
+    // Parallel UCQ evaluation must reproduce the sequential row stream
+    // BIT FOR BIT — same rows in the same order, not just the same set —
+    // at every thread count, with the scan cache on or off (replayed
+    // scans keep live-cursor order and memoized estimates keep the
+    // greedy join order, so caching never reorders answers either).
+    {
+      query::EvaluatorOptions reference_options;
+      reference_options.threads = 1;
+      reference_options.scan_cache = false;
+      query::Evaluator reference_eval(graph.store(), reference_options);
+      const query::ResultSet reference =
+          reference_eval.Evaluate(*reformulated);
+      for (int threads : {1, 2, 8}) {
+        for (bool cache : {false, true}) {
+          query::EvaluatorOptions options;
+          options.threads = threads;
+          options.scan_cache = cache;
+          query::Evaluator parallel_eval(graph.store(), options);
+          const query::ResultSet got = parallel_eval.Evaluate(*reformulated);
+          if (got.rows != reference.rows) {
+            return fail(label + ": parallel UCQ evaluation (threads=" +
+                        std::to_string(threads) +
+                        ", cache=" + (cache ? "on" : "off") +
+                        ") is not bit-identical to sequential");
+          }
         }
       }
+    }
 
-      // Parallel UCQ evaluation must reproduce the sequential row stream
-      // BIT FOR BIT — same rows in the same order, not just the same set —
-      // at every thread count, with the scan cache on or off (replayed
-      // scans keep live-cursor order and memoized estimates keep the
-      // greedy join order, so caching never reorders answers either).
-      {
-        query::EvaluatorOptions reference_options;
-        reference_options.threads = 1;
-        reference_options.scan_cache = false;
-        query::Evaluator reference_eval(graph.store(), reference_options);
-        const query::ResultSet reference =
-            reference_eval.Evaluate(*reformulated);
-        for (int threads : {1, 2, 8}) {
-          for (bool cache : {false, true}) {
+    // Plan-based UCQ evaluation: answer sets equal the legacy join on
+    // every configuration, and within one plan shape (hash joins on or
+    // off — the planner may legitimately emit different operator trees
+    // across that toggle) the row stream is BIT-IDENTICAL across batch
+    // sizes, thread counts, and external vs locally-built statistics.
+    for (bool hash_joins : {false, true}) {
+      std::vector<query::Row> plan_reference;
+      bool have_reference = false;
+      for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
+        for (int threads : {1, 8}) {
+          for (bool external_stats : {false, true}) {
             query::EvaluatorOptions options;
+            options.plan = true;
+            options.hash_joins = hash_joins;
+            options.batch_rows = batch_rows;
             options.threads = threads;
-            options.scan_cache = cache;
-            query::Evaluator parallel_eval(graph.store(), options);
-            const query::ResultSet got = parallel_eval.Evaluate(*reformulated);
-            if (got.rows != reference.rows) {
-              return fail(label + ": parallel UCQ evaluation (threads=" +
-                          std::to_string(threads) +
-                          ", cache=" + (cache ? "on" : "off") +
-                          ") is not bit-identical to sequential");
+            options.stats = external_stats ? &plan_stats : nullptr;
+            query::Evaluator plan_eval(graph.store(), options);
+            const query::ResultSet got = plan_eval.Evaluate(*reformulated);
+            const std::string config =
+                std::string(" (hash_joins=") + (hash_joins ? "on" : "off") +
+                ", batch_rows=" + std::to_string(batch_rows) +
+                ", threads=" + std::to_string(threads) +
+                ", stats=" + (external_stats ? "external" : "local") + ")";
+            if (Rows(rg.graph, got) != expected) {
+              return fail(label + ": plan-based evaluation" + config +
+                          " differs from saturation");
+            }
+            if (!have_reference) {
+              plan_reference = got.rows;
+              have_reference = true;
+            } else if (got.rows != plan_reference) {
+              return fail(label + ": plan-based evaluation" + config +
+                          " is not bit-identical to the first plan "
+                          "configuration of this shape");
             }
           }
         }
       }
+    }
 
-      // Plan-based UCQ evaluation: answer sets equal the legacy join on
-      // every configuration, and within one plan shape (hash joins on or
-      // off — the planner may legitimately emit different operator trees
-      // across that toggle) the row stream is BIT-IDENTICAL across batch
-      // sizes, thread counts, and external vs locally-built statistics.
-      for (bool hash_joins : {false, true}) {
-        std::vector<query::Row> plan_reference;
-        bool have_reference = false;
-        for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
-          for (int threads : {1, 8}) {
-            for (bool external_stats : {false, true}) {
-              query::EvaluatorOptions options;
-              options.plan = true;
-              options.hash_joins = hash_joins;
-              options.batch_rows = batch_rows;
-              options.threads = threads;
-              options.stats = external_stats ? &plan_stats : nullptr;
-              query::Evaluator plan_eval(graph.store(), options);
-              const query::ResultSet got = plan_eval.Evaluate(*reformulated);
-              const std::string config =
-                  std::string(" (hash_joins=") + (hash_joins ? "on" : "off") +
-                  ", batch_rows=" + std::to_string(batch_rows) +
-                  ", threads=" + std::to_string(threads) +
-                  ", stats=" + (external_stats ? "external" : "local") + ")";
-              if (Rows(rg.graph, got) != expected) {
-                return fail(label + ": plan-based evaluation" + config +
-                            " differs from saturation");
-              }
-              if (!have_reference) {
-                plan_reference = got.rows;
-                have_reference = true;
-              } else if (got.rows != plan_reference) {
-                return fail(label + ": plan-based evaluation" + config +
-                            " is not bit-identical to the first plan "
-                            "configuration of this shape");
-              }
-            }
-          }
-        }
-      }
+    if (Rows(rg.graph, backward_eval.Evaluate(q)) != expected) {
+      return fail(label + ": backward chaining differs from saturation");
+    }
+    if (Rows(rg.graph, backward_plan_eval.Evaluate(q)) != expected) {
+      return fail(label +
+                  ": plan-based backward chaining differs from saturation");
+    }
 
-      if (Rows(rg.graph, backward_eval.Evaluate(q)) != expected) {
-        return fail(label + ": backward chaining differs from saturation");
-      }
-      if (Rows(rg.graph, backward_plan_eval.Evaluate(q)) != expected) {
-        return fail(label +
-                    ": plan-based backward chaining differs from saturation");
-      }
+    Result<query::ResultSet> via_dl = datalog::AnswerViaDatalog(xlat, *db, q);
+    if (!via_dl.ok()) {
+      return fail(label + ": Datalog answering failed: " +
+                  via_dl.status().ToString());
+    }
+    if (Rows(rg.graph, *via_dl) != expected) {
+      return fail(label + ": Datalog differs from saturation");
+    }
 
-      Result<query::ResultSet> via_dl = datalog::AnswerViaDatalog(xlat, *db, q);
-      if (!via_dl.ok()) {
-        return fail(label + ": Datalog answering failed: " +
-                    via_dl.status().ToString());
-      }
-      if (Rows(rg.graph, *via_dl) != expected) {
-        return fail(label + ": Datalog differs from saturation");
-      }
+    Result<query::ResultSet> via_dl_plan =
+        datalog::AnswerViaDatalog(xlat, *db, q, &datalog_plan_options);
+    if (!via_dl_plan.ok()) {
+      return fail(label + ": plan-based Datalog answering failed: " +
+                  via_dl_plan.status().ToString());
+    }
+    if (Rows(rg.graph, *via_dl_plan) != expected) {
+      return fail(label + ": plan-based Datalog differs from saturation");
+    }
 
-      Result<query::ResultSet> via_dl_plan =
-          datalog::AnswerViaDatalog(xlat, *db, q, &datalog_plan_options);
-      if (!via_dl_plan.ok()) {
-        return fail(label + ": plan-based Datalog answering failed: " +
-                    via_dl_plan.status().ToString());
-      }
-      if (Rows(rg.graph, *via_dl_plan) != expected) {
-        return fail(label + ": plan-based Datalog differs from saturation");
-      }
-
-      Result<query::ResultSet> via_magic = AnswerViaMagic(xlat, q);
-      if (!via_magic.ok()) {
-        return fail(label + ": magic-sets answering failed: " +
-                    via_magic.status().ToString());
-      }
-      if (Rows(rg.graph, *via_magic) != expected) {
-        return fail(label + ": magic sets differ from saturation");
-      }
-
-      if (backend == rdf::StorageBackend::kOrdered) {
-        canonical.push_back(expected);
-      } else if (expected != canonical[static_cast<size_t>(k)]) {
-        return fail(label + ": flat backend differs from ordered backend");
-      }
+    Result<query::ResultSet> via_magic = AnswerViaMagic(xlat, q);
+    if (!via_magic.ok()) {
+      return fail(label + ": magic-sets answering failed: " +
+                  via_magic.status().ToString());
+    }
+    if (Rows(rg.graph, *via_magic) != expected) {
+      return fail(label + ": magic sets differ from saturation");
     }
   }
   return ::testing::AssertionSuccess();
@@ -457,8 +438,8 @@ inline std::string ToSparql(const query::BgpQuery& q, const rdf::Graph& g) {
 // serialized to Turtle, loaded through the ReasoningStore front door, and
 // every per-read mode override — saturation, reformulation, backward,
 // Datalog + magic, and the kAuto strategy selector — must decode identical
-// answer sets, across both storage backends and with the hierarchy-aware
-// encoding off and on. This is the lock that makes kAuto a pure
+// answer sets, on the flat and the sharded backend and with the
+// hierarchy-aware encoding off and on. This is the lock that makes kAuto a pure
 // performance feature: whatever the selector routes, answers never change.
 inline ::testing::AssertionResult RunStoreDifferentialInstance(
     uint64_t seed, const DifferentialConfig& config = {}) {
@@ -490,7 +471,7 @@ inline ::testing::AssertionResult RunStoreDifferentialInstance(
   std::vector<std::set<std::vector<std::string>>> canonical;
 
   for (rdf::StorageBackend backend :
-       {rdf::StorageBackend::kOrdered, rdf::StorageBackend::kFlat}) {
+       {rdf::StorageBackend::kFlat, rdf::StorageBackend::kSharded}) {
     for (bool encoding : {false, true}) {
       store::ReasoningStoreOptions options;
       options.mode = store::ReasoningMode::kSaturation;  // closure for all
@@ -543,15 +524,16 @@ inline ::testing::AssertionResult RunStoreDifferentialInstance(
 }
 
 // Sharded-execution differential check for one seed: the hash-partitioned
-// store at 1/2/4/8 shards, with ordered and flat per-shard backends, must
-// reproduce the ordered single-store reference exactly —
+// store at 1/2/4/8 shards must agree with the flat single-store reference
+// and with itself across shard counts —
 //
 //   - the saturation closure (sequential AND parallel at threads=shards)
 //     is set-identical to the reference closure;
-//   - legacy-join query answers are BIT-IDENTICAL (same rows, same order):
-//     the merged scan preserves global index order and the sharded
-//     EstimateCount reproduces the single-store estimates, so the greedy
-//     join order and the row stream cannot drift;
+//   - legacy-join query answers are set-identical to the reference and
+//     BIT-IDENTICAL (same rows, same order) to the 1-shard run: the merged
+//     scan preserves global index order and the sharded EstimateCount
+//     depends only on store contents, so the greedy join order and the row
+//     stream cannot drift with the shard count;
 //   - plan-based answers (exchange operators over the partitioned scan)
 //     are answer-set identical (merged statistics may legally pick a
 //     different join order).
@@ -571,7 +553,7 @@ inline ::testing::AssertionResult RunShardedDifferentialInstance(
   RandomGraph rg = MakeRandomGraph(graph_rng, config.graph);
   reformulation::CloseSchema(rg.graph, rg.vocab);
 
-  // Ordered single-store reference: closure and per-query row streams.
+  // Flat single-store reference: closure and per-query answer sets.
   reasoning::SaturatedGraph reference(rg.graph, rg.vocab);
   const std::vector<rdf::Triple> closure_ref =
       SortedTriples(reference.closure());
@@ -582,62 +564,63 @@ inline ::testing::AssertionResult RunShardedDifferentialInstance(
   for (int k = 0; k < config.queries_per_instance; ++k) {
     queries.push_back(query::UnionQuery::Single(MakeRandomQuery(query_rng, rg)));
   }
-  std::vector<query::ResultSet> reference_results;
+  std::vector<std::set<std::vector<std::string>>> reference_answers;
   for (const query::UnionQuery& q : queries) {
-    reference_results.push_back(reference_eval.Evaluate(q));
+    reference_answers.push_back(Rows(rg.graph, reference_eval.Evaluate(q)));
   }
 
-  for (rdf::StorageBackend shard_backend :
-       {rdf::StorageBackend::kOrdered, rdf::StorageBackend::kFlat}) {
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      const std::string label =
-          std::string("shards=") + std::to_string(shards) +
-          " shard_backend=" + rdf::StorageBackendName(shard_backend);
+  // Legacy-join row streams of the 1-shard run, per query.
+  std::vector<std::vector<query::Row>> one_shard_rows;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    const std::string label = "shards=" + std::to_string(shards);
 
-      rdf::Graph graph = rg.graph;
-      auto sharded =
-          std::make_unique<rdf::ShardedStore>(shards, shard_backend);
-      sharded->SetBroadcastPredicates(
-          {rg.vocab.sub_class_of, rg.vocab.sub_property_of, rg.vocab.domain,
-           rg.vocab.range});
-      graph.AdoptStore(std::move(sharded));
+    rdf::Graph graph = rg.graph;
+    auto sharded = std::make_unique<rdf::ShardedStore>(shards);
+    sharded->SetBroadcastPredicates({rg.vocab.sub_class_of,
+                                     rg.vocab.sub_property_of,
+                                     rg.vocab.domain, rg.vocab.range});
+    graph.AdoptStore(std::move(sharded));
 
-      // Closure identity: shard-parallel semi-naive (shard-local deltas,
-      // broadcast of derived schema triples) must close to exactly the
-      // reference set, sequentially and at threads=shards.
-      reasoning::SaturatedGraph sequential(graph, rg.vocab);
-      if (SortedTriples(sequential.closure()) != closure_ref) {
-        return fail(label + ": sharded closure differs from the ordered "
-                            "single-store closure");
+    // Closure identity: shard-parallel semi-naive (shard-local deltas,
+    // broadcast of derived schema triples) must close to exactly the
+    // reference set, sequentially and at threads=shards.
+    reasoning::SaturatedGraph sequential(graph, rg.vocab);
+    if (SortedTriples(sequential.closure()) != closure_ref) {
+      return fail(label + ": sharded closure differs from the single-store "
+                          "closure");
+    }
+    {
+      reasoning::SaturationOptions options;
+      options.threads = static_cast<int>(shards);
+      reasoning::SaturatedGraph parallel(graph, rg.vocab,
+                                         /*enable_owl=*/false, options);
+      if (SortedTriples(parallel.closure()) != closure_ref) {
+        return fail(label + ": parallel sharded closure (threads=" +
+                    std::to_string(shards) + ") differs from reference");
       }
-      {
-        reasoning::SaturationOptions options;
-        options.threads = static_cast<int>(shards);
-        reasoning::SaturatedGraph parallel(graph, rg.vocab,
-                                           /*enable_owl=*/false, options);
-        if (SortedTriples(parallel.closure()) != closure_ref) {
-          return fail(label + ": parallel sharded closure (threads=" +
-                      std::to_string(shards) + ") differs from reference");
-        }
-      }
+    }
 
-      query::Evaluator eval(sequential.closure());
-      query::EvaluatorOptions plan_options;
-      plan_options.plan = true;
-      query::Evaluator plan_eval(sequential.closure(), plan_options);
-      for (size_t k = 0; k < queries.size(); ++k) {
-        const std::string qlabel =
-            label + " query " + std::to_string(k);
-        const query::ResultSet got = eval.Evaluate(queries[k]);
-        if (got.rows != reference_results[k].rows) {
-          return fail(qlabel + ": legacy-join answers are not bit-identical "
-                               "to the single-store reference");
-        }
-        const query::ResultSet via_plan = plan_eval.Evaluate(queries[k]);
-        if (Rows(rg.graph, via_plan) != Rows(rg.graph, reference_results[k])) {
-          return fail(qlabel + ": plan-based (exchange) answers differ from "
-                               "the single-store reference");
-        }
+    query::Evaluator eval(sequential.closure());
+    query::EvaluatorOptions plan_options;
+    plan_options.plan = true;
+    query::Evaluator plan_eval(sequential.closure(), plan_options);
+    for (size_t k = 0; k < queries.size(); ++k) {
+      const std::string qlabel = label + " query " + std::to_string(k);
+      const query::ResultSet got = eval.Evaluate(queries[k]);
+      if (Rows(rg.graph, got) != reference_answers[k]) {
+        return fail(qlabel + ": legacy-join answers differ from the "
+                             "single-store reference");
+      }
+      if (shards == 1) {
+        one_shard_rows.push_back(got.rows);
+      } else if (got.rows != one_shard_rows[k]) {
+        return fail(qlabel + ": legacy-join answers are not bit-identical "
+                             "to the 1-shard run");
+      }
+      const query::ResultSet via_plan = plan_eval.Evaluate(queries[k]);
+      if (Rows(rg.graph, via_plan) != reference_answers[k]) {
+        return fail(qlabel + ": plan-based (exchange) answers differ from "
+                             "the single-store reference");
       }
     }
   }
@@ -656,8 +639,6 @@ inline ::testing::AssertionResult RunShardedDifferentialInstance(
     options.mode = store::ReasoningMode::kSaturation;
     options.backend = rdf::StorageBackend::kSharded;
     options.shards = shards;
-    options.shard_backend = shards % 2 == 0 ? rdf::StorageBackend::kFlat
-                                            : rdf::StorageBackend::kOrdered;
     store::ReasoningStore store(options);
     Result<size_t> loaded = store.LoadTurtle(turtle);
     if (!loaded.ok()) {

@@ -9,9 +9,9 @@
 namespace wdr::reasoning {
 namespace {
 
+using rdf::FlatTripleStore;
 using rdf::Graph;
 using rdf::Triple;
-using rdf::TripleStore;
 using schema::Vocabulary;
 using test::Add;
 using test::Enc;
@@ -22,7 +22,7 @@ class ExplainTest : public ::testing::Test {
   Vocabulary v_ = Vocabulary::Intern(g_.dict());
 
   Result<Explanation> ExplainTriple(const Triple& t) {
-    TripleStore closure = Saturator::SaturateGraph(g_, v_);
+    FlatTripleStore closure = Saturator::SaturateGraph(g_, v_);
     return Explain(g_.store(), closure, v_, &g_.dict(), t);
   }
 };
@@ -64,7 +64,7 @@ TEST_F(ExplainTest, MultiStepProofIsDependencyOrdered) {
   ASSERT_GE(proof->steps.size(), 2u);
   EXPECT_EQ(proof->steps.back().conclusion, target);
   // Every premise of every step is asserted or concluded earlier.
-  TripleStore seen;
+  FlatTripleStore seen;
   g_.store().Match(0, 0, 0, [&](const Triple& t) { seen.Insert(t); });
   for (const DerivationStep& step : proof->steps) {
     for (const Triple& premise : step.premises) {
@@ -88,7 +88,7 @@ TEST_F(ExplainTest, CyclicSchemaStillYieldsFiniteProof) {
 
 TEST_F(ExplainTest, OutOfSyncClosureIsReported) {
   Add(g_, "Tom", schema::iri::kType, "Cat");
-  TripleStore fake_closure;
+  FlatTripleStore fake_closure;
   g_.store().Match(0, 0, 0,
                    [&](const Triple& t) { fake_closure.Insert(t); });
   Triple bogus = Enc(g_, "Tom", schema::iri::kType, "Mammal");
@@ -119,7 +119,7 @@ TEST(ExplainPropertyTest, EveryDerivedTripleHasACheckableProof) {
   for (uint64_t seed = 700; seed < 710; ++seed) {
     Rng rng(seed);
     test::RandomGraph rg = test::MakeRandomGraph(rng, {});
-    TripleStore closure =
+    FlatTripleStore closure =
         Saturator::SaturateGraph(rg.graph, rg.vocab);
 
     closure.Match(0, 0, 0, [&](const Triple& t) {
@@ -130,7 +130,7 @@ TEST(ExplainPropertyTest, EveryDerivedTripleHasACheckableProof) {
       ASSERT_FALSE(proof->steps.empty());
       ASSERT_EQ(proof->steps.back().conclusion, t);
       // Replay: premises must be available when used.
-      TripleStore replay;
+      FlatTripleStore replay;
       rg.graph.store().Match(0, 0, 0,
                              [&](const Triple& b) { replay.Insert(b); });
       for (const DerivationStep& step : proof->steps) {

@@ -14,7 +14,7 @@ namespace wdr::federation {
 namespace {
 
 TEST(UnionStoreTest, ReportsEachTripleOnce) {
-  rdf::TripleStore a, b;
+  rdf::FlatTripleStore a, b;
   a.Insert(rdf::Triple(1, 2, 3));
   a.Insert(rdf::Triple(4, 2, 5));
   b.Insert(rdf::Triple(1, 2, 3));  // duplicate across members
@@ -30,7 +30,7 @@ TEST(UnionStoreTest, ReportsEachTripleOnce) {
 }
 
 TEST(UnionStoreTest, EarlyTerminationPropagates) {
-  rdf::TripleStore a, b;
+  rdf::FlatTripleStore a, b;
   for (rdf::TermId i = 1; i <= 5; ++i) a.Insert(rdf::Triple(i, 1, 1));
   for (rdf::TermId i = 6; i <= 9; ++i) b.Insert(rdf::Triple(i, 1, 1));
   rdf::UnionStore view({&a, &b});
@@ -161,7 +161,7 @@ TEST(FederationPropertyTest, EqualsMergedSaturation) {
     });
 
     // Ground truth: merged + saturated, evaluated directly.
-    rdf::TripleStore closure =
+    rdf::FlatTripleStore closure =
         reasoning::Saturator::SaturateGraph(rg.graph, rg.vocab);
     query::Evaluator closure_eval(closure);
 

@@ -11,9 +11,9 @@
 namespace wdr::reasoning {
 namespace {
 
+using rdf::FlatTripleStore;
 using rdf::Graph;
 using rdf::Triple;
-using rdf::TripleStore;
 using schema::Vocabulary;
 using test::Add;
 using test::Enc;
@@ -23,7 +23,7 @@ using test::Enc;
 void ExpectClosureMatchesRebuild(const SaturatedGraph& sg,
                                  const std::string& context) {
   Saturator saturator(sg.vocab(), &sg.base().dict());
-  TripleStore expected = saturator.Saturate(sg.base().store());
+  FlatTripleStore expected = saturator.Saturate(sg.base().store());
   EXPECT_EQ(sg.closure().ToVector(), expected.ToVector()) << context;
 }
 
@@ -197,7 +197,7 @@ void RunRandomUpdateStream(uint64_t seed, const SaturationOptions& options) {
   }
 
   Saturator saturator(sg.vocab(), &sg.base().dict());
-  TripleStore expected = saturator.Saturate(sg.base().store());
+  FlatTripleStore expected = saturator.Saturate(sg.base().store());
   ASSERT_EQ(sg.closure().ToVector(), expected.ToVector())
       << "seed " << seed << " threads " << options.threads;
 }

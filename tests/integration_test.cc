@@ -105,7 +105,7 @@ TEST_F(IntegrationTest, MaintainedClosureSurvivesMixedUpdateStream) {
   for (const rdf::Triple& t : updates.schema_deletions) saturated.Erase(t);
 
   reasoning::Saturator saturator(data.vocab, &saturated.base().dict());
-  rdf::TripleStore expected = saturator.Saturate(saturated.base().store());
+  rdf::FlatTripleStore expected = saturator.Saturate(saturated.base().store());
   EXPECT_EQ(saturated.closure().ToVector(), expected.ToVector());
   EXPECT_EQ(saturated.stats().inserts, 16u);
   EXPECT_EQ(saturated.stats().deletes, 16u);
@@ -122,9 +122,9 @@ TEST_F(IntegrationTest, SerializationRoundTripPreservesAnswers) {
   EXPECT_EQ(*parsed, data.graph.size());
 
   // Answers over the reloaded graph's closure match the original's.
-  rdf::TripleStore closure_a =
+  rdf::FlatTripleStore closure_a =
       reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
-  rdf::TripleStore closure_b =
+  rdf::FlatTripleStore closure_b =
       reasoning::Saturator::SaturateGraph(reloaded, vocab);
   query::Evaluator eval_a(closure_a);
   query::Evaluator eval_b(closure_b);

@@ -73,7 +73,7 @@ TEST_F(ModifiersTest, AskReportsBooleanInEveryRoute) {
 
   reformulation::CloseSchema(g_, v_);
   schema::Schema schema = schema::Schema::FromGraph(g_, v_);
-  rdf::TripleStore closure = reasoning::Saturator::SaturateGraph(g_, v_);
+  rdf::FlatTripleStore closure = reasoning::Saturator::SaturateGraph(g_, v_);
 
   // Saturation route.
   Evaluator closure_eval(closure);

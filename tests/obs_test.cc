@@ -876,7 +876,7 @@ TEST(QueryLogTest, ToJsonLineSerializesAllFields) {
   r.trace_id = 4;
   r.query = "SELECT \"x\"\nWHERE";  // quote + newline need escaping
   r.mode = "reformulation";
-  r.backend = "ordered";
+  r.backend = "flat";
   r.plan = true;
   r.union_size = 14;
   r.est_rows = 42;
@@ -961,7 +961,7 @@ TEST(QueryLogIntegrationTest, OneRecordPerQueryIncludingErrors) {
   ASSERT_EQ(records.size(), 1u);
   const QueryLogRecord& ok_record = records[0];
   EXPECT_EQ(ok_record.mode, "reformulation");
-  EXPECT_EQ(ok_record.backend, "ordered");
+  EXPECT_EQ(ok_record.backend, "flat");
   EXPECT_TRUE(ok_record.ok);
   EXPECT_EQ(ok_record.rows, 1u);
   EXPECT_EQ(ok_record.union_size, 3u);  // Animal + Mammal + Cat

@@ -13,9 +13,9 @@
 namespace wdr::reasoning {
 namespace {
 
+using rdf::FlatTripleStore;
 using rdf::Graph;
 using rdf::Triple;
-using rdf::TripleStore;
 using schema::Vocabulary;
 using test::Add;
 using test::Enc;
@@ -25,7 +25,7 @@ class OwlRulesTest : public ::testing::Test {
   Graph g_;
   Vocabulary v_ = Vocabulary::Intern(g_.dict());
 
-  TripleStore Saturate(SaturationStats* stats = nullptr) {
+  FlatTripleStore Saturate(SaturationStats* stats = nullptr) {
     Saturator saturator(v_, &g_.dict(), /*enable_owl=*/true);
     return saturator.Saturate(g_.store(), stats);
   }
@@ -35,7 +35,7 @@ TEST_F(OwlRulesTest, InverseOfBothDirections) {
   Add(g_, "hasChild", schema::iri::kOwlInverseOf, "hasParent");
   Add(g_, "ada", "hasChild", "bob");
   Add(g_, "carl", "hasParent", "dan");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "bob", "hasParent", "ada")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "dan", "hasChild", "carl")));
 }
@@ -52,7 +52,7 @@ TEST_F(OwlRulesTest, SymmetricProperty) {
   Add(g_, "marriedTo", schema::iri::kType,
       schema::iri::kOwlSymmetricProperty);
   Add(g_, "ada", "marriedTo", "bob");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "bob", "marriedTo", "ada")));
 }
 
@@ -62,7 +62,7 @@ TEST_F(OwlRulesTest, TransitivePropertyClosesChains) {
   Add(g_, "a", "partOf", "b");
   Add(g_, "b", "partOf", "c");
   Add(g_, "c", "partOf", "d");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "a", "partOf", "c")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "a", "partOf", "d")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "b", "partOf", "d")));
@@ -77,7 +77,7 @@ TEST_F(OwlRulesTest, OwlRulesComposeWithRdfs) {
   Add(g_, "ancestorOf", schema::iri::kDomain, "Person");
   Add(g_, "a", "parentOf", "b");
   Add(g_, "b", "parentOf", "c");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "a", "ancestorOf", "c")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "a", schema::iri::kType, "Person")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "b", schema::iri::kType, "Person")));
@@ -87,14 +87,14 @@ TEST_F(OwlRulesTest, DisabledByDefault) {
   Add(g_, "marriedTo", schema::iri::kType,
       schema::iri::kOwlSymmetricProperty);
   Add(g_, "ada", "marriedTo", "bob");
-  TripleStore closure = Saturator::SaturateGraph(g_, v_);  // RDFS only
+  FlatTripleStore closure = Saturator::SaturateGraph(g_, v_);  // RDFS only
   EXPECT_FALSE(closure.Contains(Enc(g_, "bob", "marriedTo", "ada")));
 }
 
 TEST_F(OwlRulesTest, LiteralObjectsNeverBecomeSubjects) {
   Add(g_, "label", schema::iri::kType, schema::iri::kOwlSymmetricProperty);
   Add(g_, "x", "label", "\"lit");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_EQ(closure.size(), g_.size());  // nothing derived
 }
 
@@ -109,7 +109,7 @@ TEST_F(OwlRulesTest, IncrementalDeleteRetractsOwlConsequences) {
   EXPECT_FALSE(sg.closure().Contains(Enc(g_, "a", "partOf", "c")));
   Saturator saturator(v_, &g_.dict(), true);
   // Rebuild-equivalence after the delete.
-  TripleStore expected = saturator.Saturate(sg.base().store());
+  FlatTripleStore expected = saturator.Saturate(sg.base().store());
   EXPECT_EQ(sg.closure().ToVector(), expected.ToVector());
 }
 
@@ -119,7 +119,7 @@ TEST_F(OwlRulesTest, ExplainTransitiveChainHasCompleteProof) {
   Add(g_, "a", "partOf", "b");
   Add(g_, "b", "partOf", "c");
   Add(g_, "c", "partOf", "d");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   Triple target = Enc(g_, "a", "partOf", "d");
   auto proof = Explain(g_.store(), closure, v_, &g_.dict(), target,
                        /*enable_owl=*/true);
@@ -128,7 +128,7 @@ TEST_F(OwlRulesTest, ExplainTransitiveChainHasCompleteProof) {
   EXPECT_EQ(proof->steps.back().conclusion, target);
   // Replay: every premise must be asserted or previously concluded, and
   // every transitive step lists three premises including the declaration.
-  TripleStore replay;
+  FlatTripleStore replay;
   g_.store().Match(0, 0, 0, [&](const Triple& t) { replay.Insert(t); });
   Triple decl = Enc(g_, "partOf", schema::iri::kType,
                     schema::iri::kOwlTransitiveProperty);
@@ -195,7 +195,7 @@ TEST(OwlRulesPropertyTest, IncrementalMatchesRebuild) {
       }
     }
     Saturator saturator(v, &sg.base().dict(), true);
-    TripleStore expected = saturator.Saturate(sg.base().store());
+    FlatTripleStore expected = saturator.Saturate(sg.base().store());
     ASSERT_EQ(sg.closure().ToVector(), expected.ToVector()) << "seed " << seed;
   }
 }

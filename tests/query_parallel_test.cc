@@ -1,9 +1,9 @@
 // Determinism contract of branch-parallel union evaluation: for EVERY
 // query, Evaluate() must return the exact sequential row stream — same
 // rows, same order — at every thread count, with the scan cache on or
-// off, on both storage backends. The differential harness checks this on
-// random reformulated workloads; this suite pins down the corners that
-// randomness rarely hits: LIMIT/OFFSET/ASK early cancellation,
+// off, on the flat and sharded backends. The differential harness checks
+// this on random reformulated workloads; this suite pins down the corners
+// that randomness rarely hits: LIMIT/OFFSET/ASK early cancellation,
 // overlapping and duplicated branches, within-branch duplicates under a
 // row bound, streaming counts, and the thread knob as exposed through
 // Federation and ReasoningStore.
@@ -102,7 +102,7 @@ BgpQuery TakesBranch(StudentGraph& g) {
 TEST(QueryParallelTest, OverlappingBranchesStayBitIdentical) {
   StudentGraph g;
   for (rdf::StorageBackend backend :
-       {rdf::StorageBackend::kOrdered, rdf::StorageBackend::kFlat}) {
+       {rdf::StorageBackend::kFlat, rdf::StorageBackend::kSharded}) {
     g.graph.SetBackend(backend);
     // Tutor ⊂ Student and the Student branch appears twice: every Tutor
     // row is produced by three branches, so cross-branch dedup is load

@@ -10,8 +10,8 @@
 namespace wdr::datalog {
 namespace {
 
+using rdf::FlatTripleStore;
 using rdf::Graph;
-using rdf::TripleStore;
 using schema::Vocabulary;
 using test::Add;
 using test::Enc;
@@ -56,7 +56,7 @@ TEST_F(RdfDatalogTest, MaterializationMatchesNativeSaturatorSmall) {
   Add(g_, "anne", "hasPet", "Tom");
   auto via_datalog = MaterializeViaDatalog(g_, v_);
   ASSERT_TRUE(via_datalog.ok()) << via_datalog.status();
-  TripleStore native = reasoning::Saturator::SaturateGraph(g_, v_);
+  FlatTripleStore native = reasoning::Saturator::SaturateGraph(g_, v_);
   EXPECT_EQ(via_datalog->ToVector(), native.ToVector());
 }
 
@@ -86,7 +86,7 @@ TEST(RdfDatalogPropertyTest, MaterializationEqualsNativeSaturation) {
   for (uint64_t seed = 300; seed < 320; ++seed) {
     Rng rng(seed);
     test::RandomGraph rg = test::MakeRandomGraph(rng, {});
-    TripleStore native =
+    FlatTripleStore native =
         reasoning::Saturator::SaturateGraph(rg.graph, rg.vocab);
     for (Strategy strategy : {Strategy::kNaive, Strategy::kSemiNaive}) {
       auto via_datalog = MaterializeViaDatalog(rg.graph, rg.vocab, strategy);
@@ -103,7 +103,7 @@ TEST(RdfDatalogPropertyTest, QueryAnswersMatchSaturatedEvaluation) {
   for (uint64_t seed = 400; seed < 415; ++seed) {
     Rng rng(seed);
     test::RandomGraph rg = test::MakeRandomGraph(rng, {});
-    TripleStore closure =
+    FlatTripleStore closure =
         reasoning::Saturator::SaturateGraph(rg.graph, rg.vocab);
     query::Evaluator closure_eval(closure);
 

@@ -17,8 +17,8 @@ using query::BgpQuery;
 using query::Evaluator;
 using query::ResultSet;
 using query::UnionQuery;
+using rdf::FlatTripleStore;
 using rdf::Graph;
-using rdf::TripleStore;
 using schema::Schema;
 using schema::Vocabulary;
 using test::Add;
@@ -53,7 +53,7 @@ class ReformulationTest : public ::testing::Test {
 
   // q(G∞).
   ResultSet AnswerBySaturation(const UnionQuery& q) {
-    TripleStore closure = reasoning::Saturator::SaturateGraph(g_, v_);
+    FlatTripleStore closure = reasoning::Saturator::SaturateGraph(g_, v_);
     Evaluator evaluator(closure);
     ResultSet result = evaluator.Evaluate(q);
     result.Normalize();
@@ -369,7 +369,7 @@ TEST(ReformulationPropertyTest, ReformulationEqualsSaturation) {
     Schema schema = Schema::FromGraph(rg.graph, rg.vocab);
     Reformulator reformulator(schema, rg.vocab);
 
-    TripleStore closure =
+    FlatTripleStore closure =
         reasoning::Saturator::SaturateGraph(rg.graph, rg.vocab);
     Evaluator base_eval(rg.graph.store());
     Evaluator closure_eval(closure);

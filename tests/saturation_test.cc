@@ -10,9 +10,9 @@
 namespace wdr::reasoning {
 namespace {
 
+using rdf::FlatTripleStore;
 using rdf::Graph;
 using rdf::Triple;
-using rdf::TripleStore;
 using schema::Vocabulary;
 using test::Add;
 using test::Enc;
@@ -22,7 +22,7 @@ class SaturationTest : public ::testing::Test {
   Graph g_;
   Vocabulary v_ = Vocabulary::Intern(g_.dict());
 
-  TripleStore Saturate(SaturationStats* stats = nullptr) {
+  FlatTripleStore Saturate(SaturationStats* stats = nullptr) {
     return Saturator::SaturateGraph(g_, v_, stats);
   }
 };
@@ -35,7 +35,7 @@ TEST_F(SaturationTest, PaperExampleTomTheCat) {
   // §I: "Tom is a cat" + "any cat is a mammal" |= "Tom is a mammal".
   Add(g_, "Cat", schema::iri::kSubClassOf, "Mammal");
   Add(g_, "Tom", schema::iri::kType, "Cat");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "Tom", schema::iri::kType, "Mammal")));
   EXPECT_EQ(closure.size(), 3u);
 }
@@ -45,7 +45,7 @@ TEST_F(SaturationTest, PaperExampleDomainTyping) {
   //        |= Anne rdf:type Person.
   Add(g_, "hasFriend", schema::iri::kDomain, "Person");
   Add(g_, "Anne", "hasFriend", "Marie");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(
       closure.Contains(Enc(g_, "Anne", schema::iri::kType, "Person")));
 }
@@ -55,7 +55,7 @@ TEST_F(SaturationTest, SubClassChainIsTransitivelyClosed) {
   Add(g_, "B", schema::iri::kSubClassOf, "C");
   Add(g_, "C", schema::iri::kSubClassOf, "D");
   Add(g_, "x", schema::iri::kType, "A");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   // rdfs11 closes the chain; rdfs9 types x at every level.
   EXPECT_TRUE(closure.Contains(Enc(g_, "A", schema::iri::kSubClassOf, "C")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "A", schema::iri::kSubClassOf, "D")));
@@ -69,7 +69,7 @@ TEST_F(SaturationTest, SubPropertyChainPropagatesAssertions) {
   Add(g_, "headOf", schema::iri::kSubPropertyOf, "worksFor");
   Add(g_, "worksFor", schema::iri::kSubPropertyOf, "memberOf");
   Add(g_, "alice", "headOf", "dept");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "alice", "worksFor", "dept")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "alice", "memberOf", "dept")));
   EXPECT_TRUE(closure.Contains(
@@ -79,7 +79,7 @@ TEST_F(SaturationTest, SubPropertyChainPropagatesAssertions) {
 TEST_F(SaturationTest, RangeTypesTheObject) {
   Add(g_, "teaches", schema::iri::kRange, "Course");
   Add(g_, "bob", "teaches", "cs101");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(
       closure.Contains(Enc(g_, "cs101", schema::iri::kType, "Course")));
   EXPECT_FALSE(closure.Contains(Enc(g_, "bob", schema::iri::kType, "Course")));
@@ -88,7 +88,7 @@ TEST_F(SaturationTest, RangeTypesTheObject) {
 TEST_F(SaturationTest, RangeDoesNotTypeLiteralObjects) {
   Add(g_, "name", schema::iri::kRange, "Name");
   Add(g_, "bob", "name", "\"Bob");  // literal object
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   // No (literal rdf:type Name) triple: literals cannot be subjects.
   rdf::TermId name_class = g_.dict().Intern(test::T("Name"));
   size_t typed = closure.Count(0, v_.type, name_class);
@@ -102,7 +102,7 @@ TEST_F(SaturationTest, CombinedRulesCompose) {
   Add(g_, "degreeFrom", schema::iri::kRange, "University");
   Add(g_, "University", schema::iri::kSubClassOf, "Organization");
   Add(g_, "carol", "doctoralDegreeFrom", "mit");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "carol", "degreeFrom", "mit")));
   EXPECT_TRUE(
       closure.Contains(Enc(g_, "mit", schema::iri::kType, "University")));
@@ -117,7 +117,7 @@ TEST_F(SaturationTest, SubClassCycleIsHandled) {
   Add(g_, "B", schema::iri::kSubClassOf, "C");
   Add(g_, "C", schema::iri::kSubClassOf, "A");
   Add(g_, "x", schema::iri::kType, "B");
-  TripleStore closure = Saturate();
+  FlatTripleStore closure = Saturate();
   EXPECT_TRUE(closure.Contains(Enc(g_, "x", schema::iri::kType, "A")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "x", schema::iri::kType, "C")));
   EXPECT_TRUE(closure.Contains(Enc(g_, "A", schema::iri::kSubClassOf, "A")));
@@ -127,7 +127,7 @@ TEST_F(SaturationTest, StatsCountDerivations) {
   Add(g_, "Cat", schema::iri::kSubClassOf, "Mammal");
   Add(g_, "Tom", schema::iri::kType, "Cat");
   SaturationStats stats;
-  TripleStore closure = Saturate(&stats);
+  FlatTripleStore closure = Saturate(&stats);
   EXPECT_EQ(stats.base_triples, 2u);
   EXPECT_EQ(stats.closure_triples, closure.size());
   EXPECT_EQ(stats.derived_triples, 1u);
@@ -140,8 +140,8 @@ TEST_F(SaturationTest, SaturationIsIdempotent) {
   Add(g_, "p", schema::iri::kDomain, "A");
   Add(g_, "x", "p", "y");
   Saturator saturator(v_, &g_.dict());
-  TripleStore once = saturator.Saturate(g_.store());
-  TripleStore twice = saturator.Saturate(once);
+  FlatTripleStore once = saturator.Saturate(g_.store());
+  FlatTripleStore twice = saturator.Saturate(once);
   EXPECT_EQ(once.ToVector(), twice.ToVector());
 }
 
@@ -151,15 +151,15 @@ TEST(SaturationPropertyTest, ClosureIsOrderIndependent) {
     Rng rng(seed);
     test::RandomGraph rg = test::MakeRandomGraph(rng, {});
     Saturator saturator(rg.vocab, &rg.graph.dict());
-    TripleStore forward = saturator.Saturate(rg.graph.store());
+    FlatTripleStore forward = saturator.Saturate(rg.graph.store());
 
     // Re-insert the triples in reverse order into a fresh store.
     std::vector<Triple> triples = rg.graph.store().ToVector();
-    TripleStore reversed;
+    FlatTripleStore reversed;
     for (auto it = triples.rbegin(); it != triples.rend(); ++it) {
       reversed.Insert(*it);
     }
-    TripleStore backward = saturator.Saturate(reversed);
+    FlatTripleStore backward = saturator.Saturate(reversed);
     EXPECT_EQ(forward.ToVector(), backward.ToVector()) << "seed " << seed;
   }
 }
@@ -173,7 +173,7 @@ TEST(SaturationPropertyTest, ClosureIsASupportedFixpoint) {
     test::RandomGraph rg = test::MakeRandomGraph(rng, {});
     Saturator saturator(rg.vocab, &rg.graph.dict());
     RuleEngine engine(rg.vocab, &rg.graph.dict());
-    TripleStore closure = saturator.Saturate(rg.graph.store());
+    FlatTripleStore closure = saturator.Saturate(rg.graph.store());
 
     closure.Match(0, 0, 0, [&](const Triple& t) {
       // Fixpoint: consequences stay inside.

@@ -3,9 +3,9 @@
 // update batches, and every observed answer set must equal the reference
 // answers of the exact epoch the read reports — never a torn mix of two
 // epochs. A single-threaded ReasoningStore replays the same batches to
-// produce the per-epoch reference. Runs at 1/2/8 reader threads on both
-// storage backends over many seeded instances; every failure names its
-// seed for replay with WDR_SEED=<seed>.
+// produce the per-epoch reference. Runs at 1/2/8 reader threads on the
+// flat store over many seeded instances; every failure names its seed for
+// replay with WDR_SEED=<seed>.
 //
 // Also here: the deterministic compaction fault-injection tests — an
 // epoch pin must defer a flat-store merge (TryCompact() == false, delta
@@ -26,7 +26,6 @@
 #include "obs/metrics.h"
 #include "rdf/flat_triple_store.h"
 #include "rdf/store_view.h"
-#include "rdf/triple_store.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/snapshot_store.h"
@@ -298,14 +297,10 @@ TEST_P(SnapshotIsolationTest, EveryReadMatchesItsEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, SnapshotIsolationTest,
-    ::testing::Combine(::testing::Values(rdf::StorageBackend::kOrdered,
-                                         rdf::StorageBackend::kFlat),
+    ::testing::Combine(::testing::Values(rdf::StorageBackend::kFlat),
                        ::testing::Values(1, 2, 8)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 rdf::StorageBackend::kOrdered
-                             ? "ordered"
-                             : "flat") +
+      return std::string(rdf::StorageBackendName(std::get<0>(info.param))) +
              "_" + std::to_string(std::get<1>(info.param)) + "readers";
     });
 
@@ -394,19 +389,6 @@ TEST(EpochPinFaultInjectionTest, PinDefersFlatCompactionUntilRelease) {
   EXPECT_TRUE(store.TryCompact());
   EXPECT_EQ(store.delta_size(), 0u);
   EXPECT_EQ(store.size(), size_pinned);
-}
-
-// The ordered backend has no merge to defer but must still count pins
-// symmetrically (the store layer pins whichever backend it queries).
-TEST(EpochPinFaultInjectionTest, OrderedBackendCountsPins) {
-  rdf::TripleStore store;
-  {
-    rdf::EpochPin outer(store);
-    rdf::EpochPin inner(store);
-    EXPECT_EQ(store.epoch_pins(), 2u);
-    EXPECT_TRUE(store.TryCompact());  // nothing to defer; always succeeds
-  }
-  EXPECT_EQ(store.epoch_pins(), 0u);
 }
 
 // While a SnapshotStore read is in flight the queried side's view holds an

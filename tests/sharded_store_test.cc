@@ -13,9 +13,9 @@
 
 #include "exec/statistics.h"
 #include "obs/metrics.h"
+#include "rdf/flat_triple_store.h"
 #include "rdf/graph.h"
 #include "rdf/sharded_store.h"
-#include "rdf/triple_store.h"
 #include "reasoning/saturated_graph.h"
 #include "server/snapshot_store.h"
 #include "store/reasoning_store.h"
@@ -41,7 +41,7 @@ std::vector<TermId> SubjectsOwnedBy(const ShardedStore& store, size_t target,
 }
 
 TEST(ShardedStoreTest, RoutingIsDisjointAndExhaustive) {
-  ShardedStore store(4, StorageBackend::kOrdered);
+  ShardedStore store(4);
   const TermId kSchemaPred = 10;
   store.SetBroadcastPredicates({kSchemaPred});
 
@@ -72,8 +72,8 @@ TEST(ShardedStoreTest, RoutingIsDisjointAndExhaustive) {
 }
 
 TEST(ShardedStoreTest, EmptyShardsScanAndCountCorrectly) {
-  ShardedStore store(8, StorageBackend::kFlat);
-  rdf::TripleStore reference;
+  ShardedStore store(8);
+  rdf::FlatTripleStore reference;
   // Adversarial skew: every subject hashes to shard 3; shards 0-2 and 4-7
   // stay empty for the whole test.
   for (TermId s : SubjectsOwnedBy(store, 3, 16)) {
@@ -113,7 +113,7 @@ TEST(ShardedStoreTest, EmptyStoreSkewIsZero) {
 }
 
 TEST(ShardedStoreTest, RepartitionDefersUnderOpenScan) {
-  ShardedStore store(4, StorageBackend::kOrdered);
+  ShardedStore store(4);
   for (TermId s = 100; s < 120; ++s) store.Insert(Triple(s, 7, s + 1));
   const std::vector<Triple> before = store.ToVector();
 
@@ -150,7 +150,7 @@ TEST(ShardedStoreTest, RepartitionDefersUnderOpenScan) {
 }
 
 TEST(ShardedStoreTest, RepartitionDefersUnderEpochPinUntilCompact) {
-  ShardedStore store(4, StorageBackend::kFlat);
+  ShardedStore store(4);
   for (TermId s = 100; s < 110; ++s) store.Insert(Triple(s, 7, s + 1));
 
   store.PinEpoch();
@@ -198,15 +198,18 @@ TEST(ShardedStoreTest, MakeEmptyResolvesPendingLayout) {
   store.UnpinEpoch();
 }
 
-TEST(ShardedStoreTest, EstimatesMatchSingleOrderedStore) {
+TEST(ShardedStoreTest, EstimatesDependOnlyOnContents) {
   // The bit-identity keystone: estimates depend only on contents, so the
   // legacy join order cannot drift across shard counts.
-  rdf::TripleStore reference;
-  ShardedStore store(4, StorageBackend::kOrdered);
-  store.SetBroadcastPredicates({10});
+  rdf::FlatTripleStore reference;
+  std::vector<std::unique_ptr<ShardedStore>> stores;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    stores.push_back(std::make_unique<ShardedStore>(shards));
+    stores.back()->SetBroadcastPredicates({10});
+  }
   for (TermId s = 1; s <= 200; ++s) {
     const Triple t(s, s % 3 == 0 ? 10 : 7, 1 + s % 5);
-    store.Insert(t);
+    for (auto& store : stores) store->Insert(t);
     reference.Insert(t);
   }
   for (const auto& [s, p, o] :
@@ -218,14 +221,18 @@ TEST(ShardedStoreTest, EstimatesMatchSingleOrderedStore) {
         {0, 7, 3},
         {5, 7, 0},
         {12, 10, 1}}) {
-    EXPECT_EQ(store.EstimateCount(s, p, o), reference.EstimateCount(s, p, o))
-        << "pattern (" << s << "," << p << "," << o << ")";
-    EXPECT_EQ(store.Count(s, p, o), reference.Count(s, p, o));
+    for (const auto& store : stores) {
+      EXPECT_EQ(store->EstimateCount(s, p, o),
+                stores.front()->EstimateCount(s, p, o))
+          << "pattern (" << s << "," << p << "," << o << ") at "
+          << store->shard_count() << " shards";
+      EXPECT_EQ(store->Count(s, p, o), reference.Count(s, p, o));
+    }
   }
 }
 
 TEST(ShardedStoreTest, StatisticsMergeComposesShardLocalBuilds) {
-  ShardedStore store(4, StorageBackend::kOrdered);
+  ShardedStore store(4);
   store.SetBroadcastPredicates({10});
   for (TermId s = 1; s <= 300; ++s) {
     store.Insert(Triple(s, s % 4 == 0 ? 10 : 7, 1 + s % 9));
@@ -283,7 +290,7 @@ TEST(ShardedStoreTest, DeltaMaintenanceLandsOnOwnerShards) {
   test::Add(g, "Mammal", schema::iri::kSubClassOf, "Animal");
   test::Add(g, "tom", schema::iri::kType, "Cat");
 
-  auto sharded = std::make_unique<ShardedStore>(4, StorageBackend::kOrdered);
+  auto sharded = std::make_unique<ShardedStore>(4);
   sharded->SetBroadcastPredicates({vocab.sub_class_of, vocab.sub_property_of,
                                    vocab.domain, vocab.range});
   g.AdoptStore(std::move(sharded));
@@ -323,7 +330,7 @@ TEST(ShardedStoreTest, PermutationRemapsBroadcastRouting) {
   test::Add(g, "Cat", schema::iri::kSubClassOf, "Mammal");
   test::Add(g, "tom", schema::iri::kType, "Cat");
 
-  auto sharded = std::make_unique<ShardedStore>(4, StorageBackend::kOrdered);
+  auto sharded = std::make_unique<ShardedStore>(4);
   sharded->SetBroadcastPredicates({vocab.sub_class_of, vocab.sub_property_of,
                                    vocab.domain, vocab.range});
   g.AdoptStore(std::move(sharded));

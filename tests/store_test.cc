@@ -308,7 +308,7 @@ TEST(ReasoningStoreTest, EncodingWorksAcrossBackendsAndModes) {
   ASSERT_TRUE(store.LoadTurtle(kData).ok());
   EXPECT_EQ(Answers(store, kAnimalQuery), 1u);
 
-  store.SetBackend(rdf::StorageBackend::kFlat);
+  store.SetBackend(rdf::StorageBackend::kSharded);
   EXPECT_EQ(Answers(store, kAnimalQuery), 1u);
   EXPECT_EQ(Answers(store, kMammalQuery), 1u);
 

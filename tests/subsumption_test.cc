@@ -152,7 +152,7 @@ TEST(MinimizePropertyTest, MinimizedReformulationIsAnswerEquivalent) {
     Reformulator plain(schema, rg.vocab);
     Reformulator minimizing(schema, rg.vocab, minimize_options);
 
-    rdf::TripleStore closure =
+    rdf::FlatTripleStore closure =
         reasoning::Saturator::SaturateGraph(rg.graph, rg.vocab);
     query::Evaluator base_eval(rg.graph.store());
     query::Evaluator closure_eval(closure);

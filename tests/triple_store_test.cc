@@ -1,4 +1,4 @@
-#include "rdf/triple_store.h"
+#include "rdf/flat_triple_store.h"
 
 #include <algorithm>
 #include <vector>
@@ -12,7 +12,7 @@ namespace wdr::rdf {
 namespace {
 
 TEST(TripleStoreTest, InsertEraseContains) {
-  TripleStore store;
+  FlatTripleStore store;
   Triple t(1, 2, 3);
   EXPECT_TRUE(store.Insert(t));
   EXPECT_FALSE(store.Insert(t));  // duplicate
@@ -25,7 +25,7 @@ TEST(TripleStoreTest, InsertEraseContains) {
 }
 
 TEST(TripleStoreTest, ClearEmptiesAllIndexes) {
-  TripleStore store;
+  FlatTripleStore store;
   store.Insert(Triple(1, 2, 3));
   store.Insert(Triple(4, 5, 6));
   store.Clear();
@@ -36,7 +36,7 @@ TEST(TripleStoreTest, ClearEmptiesAllIndexes) {
 }
 
 TEST(TripleStoreTest, MatchFullScanIsSpoOrdered) {
-  TripleStore store;
+  FlatTripleStore store;
   store.Insert(Triple(2, 1, 1));
   store.Insert(Triple(1, 2, 2));
   store.Insert(Triple(1, 1, 3));
@@ -49,7 +49,7 @@ TEST(TripleStoreTest, MatchFullScanIsSpoOrdered) {
 }
 
 TEST(TripleStoreTest, MatchStopsWhenCallbackReturnsFalse) {
-  TripleStore store;
+  FlatTripleStore store;
   for (TermId i = 1; i <= 10; ++i) store.Insert(Triple(i, 1, 1));
   int seen = 0;
   store.Match(0, 0, 0, [&](const Triple&) { return ++seen < 3; });
@@ -57,7 +57,7 @@ TEST(TripleStoreTest, MatchStopsWhenCallbackReturnsFalse) {
 }
 
 TEST(TripleStoreTest, EstimateCountExactForSmallResults) {
-  TripleStore store;
+  FlatTripleStore store;
   store.Insert(Triple(1, 2, 3));
   store.Insert(Triple(1, 2, 4));
   store.Insert(Triple(5, 2, 3));
@@ -75,7 +75,7 @@ class MatchPatternTest : public ::testing::TestWithParam<int> {};
 TEST_P(MatchPatternTest, MatchAgreesWithNaiveFilter) {
   const int mask = GetParam();  // bit 0: s bound, 1: p bound, 2: o bound
   Rng rng(1234 + mask);
-  TripleStore store;
+  FlatTripleStore store;
   std::vector<Triple> all;
   for (int i = 0; i < 500; ++i) {
     Triple t(static_cast<TermId>(rng.Uniform(1, 12)),
@@ -111,7 +111,7 @@ INSTANTIATE_TEST_SUITE_P(AllPatternShapes, MatchPatternTest,
 // Random insert/erase interleaving keeps the three indexes consistent.
 TEST(TripleStorePropertyTest, IndexesStayConsistentUnderChurn) {
   Rng rng(99);
-  TripleStore store;
+  FlatTripleStore store;
   std::vector<Triple> present;
   for (int step = 0; step < 2000; ++step) {
     if (!present.empty() && rng.Chance(0.4)) {

@@ -47,7 +47,7 @@ TEST(UniversityGeneratorTest, GenericClassesPopulatedOnlyByEntailment) {
   // No explicit Person typing...
   EXPECT_EQ(data.graph.store().Count(0, data.vocab.type, person), 0u);
   // ...but plenty after saturation.
-  rdf::TripleStore closure =
+  rdf::FlatTripleStore closure =
       reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
   EXPECT_GT(closure.Count(0, data.vocab.type, person), 100u);
 }
@@ -76,7 +76,7 @@ TEST(StandardQuerySetTest, TenWellFormedQueries) {
 
 TEST(StandardQuerySetTest, QueriesHaveAnswersOverTheClosure) {
   UniversityData data = GenerateUniversityData({});
-  rdf::TripleStore closure =
+  rdf::FlatTripleStore closure =
       reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
   query::Evaluator evaluator(closure);
   for (const NamedQuery& nq : StandardQuerySet(data.graph.dict())) {
@@ -87,7 +87,7 @@ TEST(StandardQuerySetTest, QueriesHaveAnswersOverTheClosure) {
 
 TEST(StandardQuerySetTest, ReasoningMattersForHierarchyQueries) {
   UniversityData data = GenerateUniversityData({});
-  rdf::TripleStore closure =
+  rdf::FlatTripleStore closure =
       reasoning::Saturator::SaturateGraph(data.graph, data.vocab);
   query::Evaluator base_eval(data.graph.store());
   query::Evaluator closure_eval(closure);
