@@ -133,11 +133,8 @@ int main(int argc, char** argv) {
                    loaded.status().ToString().c_str());
       return 1;
     }
-    std::printf("base graph: %zu triples, backend=%s, %d clients, %d%% "
-                "writes, %ds\n",
-                store.size(),
-                wdr::rdf::StorageBackendName(store.backend()), clients,
-                write_pct, seconds);
+    std::printf("base graph: %zu triples, %d clients, %d%% writes, %ds\n",
+                store.size(), clients, write_pct, seconds);
   }
 
   wdr::server::ServerOptions server_options;

@@ -3,8 +3,8 @@
 //
 // Usage:
 //   wdr_shell [--mode=saturation|reformulation|backward|datalog|none|auto]
-//             [--backend=flat|sharded] [--shards=N] [--threads=N]
-//             [--query-threads=N] [--plan] [--encoding=on|off] [--explain]
+//             [--threads=N] [--query-threads=N] [--plan]
+//             [--encoding=on|off] [--explain]
 //             [--script=FILE] [--serve=PORT] [--listen=PORT] [file.ttl ...]
 //
 // With --listen=PORT (or `.listen PORT` at the prompt) the shell starts
@@ -19,10 +19,6 @@
 //                       routes each query through the online selector)
 //   .why                last auto-mode routing decision with its per-route
 //                       cost estimates
-//   .backend ENGINE     switch storage engine (flat|sharded) at run time
-//   .shards N           re-partition the sharded backend to N shards
-//                       (deferred while scans are open; answers are
-//                       identical at any shard count)
 //   .threads N          saturation worker threads for closure builds
 //   .qthreads N         worker threads for union-query branches
 //   .plan on|off        cost-based physical plans (hash joins, batching)
@@ -124,9 +120,6 @@ void PrintHelp() {
                "saturation|reformulation|backward|datalog|none|auto\n"
                "  .why                  last auto-mode routing decision "
                "(estimates per route)\n"
-               "  .backend ENGINE       flat|sharded storage engine\n"
-               "  .shards N             re-partition the sharded backend to N "
-               "shards (N >= 1)\n"
                "  .threads N            saturation worker threads (N >= 1)\n"
                "  .qthreads N           union-branch query threads (N >= 1)\n"
                "  .plan on|off          cost-based physical plans (hash "
@@ -176,18 +169,7 @@ int LoadFile(ReasoningStore& store, const std::string& path) {
 void PrintStats(const ReasoningStore& store) {
   std::cout << "triples: " << store.size()
             << "  effective (with closure): " << store.effective_size()
-            << "  mode: " << ReasoningModeName(store.mode()) << "  backend: "
-            << wdr::rdf::StorageBackendName(store.backend()) << "\n";
-  if (const wdr::rdf::ShardedStore* sharded = store.sharded_store()) {
-    std::cout << "shards: " << sharded->shard_count() << "  sizes:";
-    for (size_t size : sharded->ShardSizes()) std::cout << " " << size;
-    std::cout << "  schema: " << sharded->schema_store().size()
-              << "  skew: " << sharded->SkewRatio();
-    if (sharded->pending_shard_count() != 0) {
-      std::cout << "  pending: " << sharded->pending_shard_count();
-    }
-    std::cout << "\n";
-  }
+            << "  mode: " << ReasoningModeName(store.mode()) << "\n";
   const wdr::obs::MetricsSnapshot snapshot =
       wdr::obs::MetricsRegistry::Get().Snapshot();
   for (const auto& [name, value] : snapshot.counters) {
@@ -226,7 +208,7 @@ bool StopTrace() {
 }
 
 // Snapshots the shell's current graph into a concurrent SnapshotStore
-// (same mode/backend/settings) and starts the framed-protocol query
+// (same mode and settings) and starts the framed-protocol query
 // server on it.
 bool StartListen(const ReasoningStore& store, int port) {
   if (g_query_server != nullptr) {
@@ -236,12 +218,10 @@ bool StartListen(const ReasoningStore& store, int port) {
   }
   wdr::store::ReasoningStoreOptions options;
   options.mode = store.mode();
-  options.backend = store.backend();
   options.query.plan = store.plan_mode();
   options.query.threads = store.query_threads();
   options.saturation.threads = store.saturation_threads();
   options.encoding = store.encoding_enabled();
-  options.shards = store.shard_count();
   g_snapshot_store =
       std::make_unique<wdr::server::SnapshotStore>(options);
   auto loaded = g_snapshot_store->LoadTurtle(wdr::io::WriteTurtle(
@@ -353,37 +333,6 @@ bool RunCommand(ReasoningStore& store, const std::string& line) {
                 << (decision->closure_available ? "materialized" : "absent")
                 << "  model: v" << decision->model_version << "\n  "
                 << decision->rationale << "\n";
-      return true;
-    }
-    if (command == ".backend") {
-      wdr::rdf::StorageBackend backend;
-      if (wdr::rdf::ParseStorageBackend(argument, &backend)) {
-        store.SetBackend(backend);
-        std::cout << "backend = " << wdr::rdf::StorageBackendName(backend)
-                  << "\n";
-        return true;
-      }
-      std::cerr << "unknown backend '" << argument << "'\n";
-      return false;
-    }
-    if (command == ".shards") {
-      char* end = nullptr;
-      const long shards = std::strtol(argument.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || shards < 1) {
-        std::cerr << "usage: .shards N (N >= 1)\n";
-        return false;
-      }
-      if (!store.SetShardCount(static_cast<size_t>(shards))) {
-        std::cerr << "backend is not sharded (try .backend sharded)\n";
-        return false;
-      }
-      std::cout << "shards = " << store.shard_count();
-      const wdr::rdf::ShardedStore* sharded = store.sharded_store();
-      if (sharded != nullptr && sharded->pending_shard_count() != 0) {
-        std::cout << " (re-partition to " << sharded->pending_shard_count()
-                  << " deferred until open scans close)";
-      }
-      std::cout << "\n";
       return true;
     }
     if (command == ".threads") {
@@ -599,11 +548,6 @@ void RunDemo(ReasoningStore& store) {
       "PREFIX ex: <http://ex.org/> "
       "SELECT ?x ?y WHERE { ?x rdf:type ?y . ?y rdfs:subClassOf ex:Mammal }",
       ".plan off",
-      ".backend sharded",
-      ".shards 2",
-      "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
-      "PREFIX ex: <http://ex.org/> "
-      "SELECT ?x WHERE { ?x rdf:type ex:Mammal }",
       ".mode datalog",
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
       "PREFIX ex: <http://ex.org/> "
@@ -638,21 +582,6 @@ int main(int argc, char** argv) {
         std::cerr << "unknown mode in " << arg << "\n";
         return EXIT_FAILURE;
       }
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      if (!wdr::rdf::ParseStorageBackend(arg.substr(10), &options.backend)) {
-        std::cerr << "unknown backend in " << arg << "\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      int shards = std::atoi(arg.substr(9).c_str());
-      if (shards < 1) {
-        std::cerr << "invalid shard count in " << arg << "\n";
-        return EXIT_FAILURE;
-      }
-      options.shards = static_cast<size_t>(shards);
-      // --shards implies the sharded backend; --backend=sharded alone uses
-      // the default shard count.
-      options.backend = wdr::rdf::StorageBackend::kSharded;
     } else if (arg.rfind("--threads=", 0) == 0) {
       int threads = std::atoi(arg.substr(10).c_str());
       if (threads < 1) {

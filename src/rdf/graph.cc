@@ -11,15 +11,6 @@ constexpr std::string_view kRdfsPrefix = "http://www.w3.org/2000/01/rdf-schema#"
 
 }  // namespace
 
-void Graph::SetBackend(StorageBackend backend) {
-  if (backend == backend_) return;
-  std::vector<Triple> triples = store_->ToVector();
-  std::unique_ptr<StoreView> replacement = MakeStore(backend);
-  replacement->InsertBatch(triples);
-  store_ = std::move(replacement);
-  backend_ = backend;
-}
-
 void Graph::ApplyPermutation(const std::vector<TermId>& perm) {
   dict_.ApplyPermutation(perm);
   std::vector<Triple> triples = store_->ToVector();
@@ -29,19 +20,9 @@ void Graph::ApplyPermutation(const std::vector<TermId>& perm) {
   for (Triple& t : triples) {
     t = Triple(remap(t.s), remap(t.p), remap(t.o));
   }
-  // MakeEmpty (not MakeStore) so configured composite backends keep their
-  // layout; OnIdsPermuted remaps id-typed configuration (e.g. the
-  // broadcast-predicate set) before the remapped triples re-route.
-  std::unique_ptr<StoreView> replacement = store_->MakeEmpty();
-  replacement->OnIdsPermuted(perm);
+  auto replacement = std::make_unique<FlatTripleStore>();
   replacement->InsertBatch(triples);
   store_ = std::move(replacement);
-}
-
-void Graph::AdoptStore(std::unique_ptr<StoreView> replacement) {
-  replacement->InsertBatch(store_->ToVector());
-  store_ = std::move(replacement);
-  backend_ = store_->backend();
 }
 
 bool Graph::Insert(const Term& s, const Term& p, const Term& o) {

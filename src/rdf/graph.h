@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "rdf/dictionary.h"
+#include "rdf/flat_triple_store.h"
 #include "rdf/store_view.h"
 #include "rdf/triple.h"
 
@@ -23,24 +24,19 @@ struct GraphStats {
 // (RDFS) triples and instance triples live in the same store, as in the RDF
 // standard; the schema module derives a constraint view from it.
 //
-// The storage engine is selected at construction (and switchable later):
-// every consumer sees only the StoreView seam, so the reasoning layers are
-// agnostic to the physical triple layout.
+// Triples live in a FlatTripleStore; every consumer sees only the
+// StoreView seam.
 class Graph {
  public:
-  explicit Graph(StorageBackend backend = StorageBackend::kFlat)
-      : backend_(backend), store_(MakeStore(backend)) {}
+  Graph() : store_(std::make_unique<FlatTripleStore>()) {}
 
   // Copyable: snapshotting the base graph is how benches restore state
   // between runs. Moves are cheap.
   Graph(const Graph& other)
-      : dict_(other.dict_),
-        backend_(other.backend_),
-        store_(other.store_->Clone()) {}
+      : dict_(other.dict_), store_(other.store_->Clone()) {}
   Graph& operator=(const Graph& other) {
     if (this != &other) {
       dict_ = other.dict_;
-      backend_ = other.backend_;
       store_ = other.store_->Clone();
     }
     return *this;
@@ -54,20 +50,9 @@ class Graph {
   StoreView& store() { return *store_; }
   const StoreView& store() const { return *store_; }
 
-  StorageBackend backend() const { return backend_; }
-
-  // Switches the storage engine, carrying the triples over. No-op if the
-  // backend is already `backend`.
-  void SetBackend(StorageBackend backend);
-
-  // Replaces the store with a caller-configured (empty) one — e.g. a
-  // ShardedStore with a specific shard count and broadcast-predicate set —
-  // carrying the current triples over.
-  void AdoptStore(std::unique_ptr<StoreView> replacement);
-
   // Renumbers the whole graph under an old-id -> new-id bijection: the
   // dictionary (Dictionary::ApplyPermutation) and every stored triple,
-  // rebuilt into a fresh store of the same backend. This is the rebuild
+  // rebuilt into a fresh store. This is the rebuild
   // half of the hierarchy-aware encoding (rdf/hier_encoding.h); callers
   // must remap any TermIds they hold outside the graph.
   void ApplyPermutation(const std::vector<TermId>& perm);
@@ -103,7 +88,6 @@ class Graph {
 
  private:
   Dictionary dict_;
-  StorageBackend backend_ = StorageBackend::kFlat;
   std::unique_ptr<StoreView> store_;
 };
 

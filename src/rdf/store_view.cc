@@ -1,7 +1,5 @@
 #include "rdf/store_view.h"
 
-#include "rdf/flat_triple_store.h"
-#include "rdf/sharded_store.h"
 
 namespace wdr::rdf {
 
@@ -9,21 +7,8 @@ const char* StorageBackendName(StorageBackend backend) {
   switch (backend) {
     case StorageBackend::kFlat:
       return "flat";
-    case StorageBackend::kSharded:
-      return "sharded";
   }
   return "unknown";
-}
-
-bool ParseStorageBackend(std::string_view name, StorageBackend* backend) {
-  if (name == "flat") {
-    *backend = StorageBackend::kFlat;
-  } else if (name == "sharded") {
-    *backend = StorageBackend::kSharded;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 size_t StoreView::InsertBatch(std::span<const Triple> batch) {
@@ -75,20 +60,6 @@ std::vector<Triple> StoreView::ToVector() const {
   out.reserve(size());
   Match(0, 0, 0, [&out](const Triple& t) { out.push_back(t); });
   return out;
-}
-
-std::unique_ptr<StoreView> StoreView::MakeEmpty() const {
-  return MakeStore(backend());
-}
-
-std::unique_ptr<StoreView> MakeStore(StorageBackend backend) {
-  switch (backend) {
-    case StorageBackend::kFlat:
-      return std::make_unique<FlatTripleStore>();
-    case StorageBackend::kSharded:
-      return std::make_unique<ShardedStore>();
-  }
-  return std::make_unique<FlatTripleStore>();
 }
 
 }  // namespace wdr::rdf

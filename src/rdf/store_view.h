@@ -6,7 +6,6 @@
 #include <memory>
 #include <new>
 #include <span>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -232,20 +231,19 @@ bool InvokeMatchFn(Fn&& fn, const Triple& t) {
 }
 }  // namespace internal
 
-// Available storage engines behind the StoreView seam.
+// The storage engine behind the StoreView seam. One value remains; the
+// enum and its name survive as the reported `backend` of stores and query
+// logs.
 enum class StorageBackend {
-  kFlat,     // FlatTripleStore: flat sorted arrays + delta log
-  kSharded,  // ShardedStore: subject-hash partitioned flat stores
+  kFlat,  // FlatTripleStore: flat sorted arrays + delta log
 };
 
 const char* StorageBackendName(StorageBackend backend);
-bool ParseStorageBackend(std::string_view name, StorageBackend* backend);
 
 // The storage-engine seam: everything the reasoning, query, backward,
-// federation and store layers need from triple storage. Concrete layouts
-// (the flat store and the sharded composite of flat stores) live behind
-// this interface; no consumer outside src/rdf names a backend type on its
-// evaluation path.
+// federation and store layers need from triple storage. The flat store is
+// the one layout behind this interface; no consumer outside src/rdf needs
+// more than this seam on its evaluation path.
 //
 // Concurrency contract: any number of threads may *read* one store
 // concurrently (Contains/Count/EstimateCount/OpenScan/Match/ToVector) as
@@ -380,21 +378,6 @@ class StoreView {
   // Deep copy preserving the backend (used by Graph snapshots).
   virtual std::unique_ptr<StoreView> Clone() const = 0;
 
-  // Empty store with the same backend *and configuration* (shard count,
-  // partitioning rules, ...). Rebuild paths (Graph::ApplyPermutation,
-  // SaturatedGraph closures) must use this instead of MakeStore(backend())
-  // so configured composite backends survive the rebuild. The default
-  // covers configuration-free backends.
-  virtual std::unique_ptr<StoreView> MakeEmpty() const;
-
-  // Notifies the store that every TermId is about to be renumbered under
-  // `perm` (old id -> new id). Only *configuration* ids are remapped
-  // (e.g. the broadcast-predicate set of a sharded store); stored triples
-  // are the caller's job — the rebuild path constructs a MakeEmpty()
-  // replacement, calls OnIdsPermuted on it, then re-inserts the remapped
-  // triples. No-op for backends without id-typed configuration.
-  virtual void OnIdsPermuted(std::span<const TermId> perm) { (void)perm; }
-
   static constexpr size_t kMatchBatch = 64;
 };
 
@@ -435,9 +418,6 @@ class EpochPin {
  private:
   const StoreView* store_ = nullptr;
 };
-
-// Creates an empty store of the requested backend.
-std::unique_ptr<StoreView> MakeStore(StorageBackend backend);
 
 }  // namespace wdr::rdf
 

@@ -34,8 +34,8 @@ struct MaintenanceStats {
 // exactly why the paper's Fig. 3 shows lower thresholds for schema updates.
 class SaturatedGraph {
  public:
-  // Snapshots `base` and computes the initial closure, stored in the same
-  // storage backend as `base`. `enable_owl` adds the RDFS++ extension rules
+  // Snapshots `base` and computes the initial closure into a
+  // FlatTripleStore. `enable_owl` adds the RDFS++ extension rules
   // (rules.h) to both saturation and maintenance. `options` (notably
   // `threads`) applies to the initial build, Rebuild(), and the propagation
   // phases of Insert()/Erase() — the closure is identical either way.
@@ -52,10 +52,6 @@ class SaturatedGraph {
   const rdf::Graph& base() const { return base_; }
   rdf::Dictionary& dict() { return base_.dict(); }
   const rdf::StoreView& closure() const { return *closure_; }
-  // Mutable closure access for layout control (a sharded closure's
-  // SetShardCount); the contents are owned by the maintenance machinery.
-  rdf::StoreView& mutable_closure() { return *closure_; }
-  rdf::StorageBackend backend() const { return closure_->backend(); }
   const schema::Vocabulary& vocab() const { return vocab_; }
 
   // Inserts `t` into the base graph and maintains the closure.

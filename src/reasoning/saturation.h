@@ -72,8 +72,7 @@ class Saturator {
   // Core: fills `closure` with base ∪ entailed triples. Returns
   // InvalidArgument if `closure` is not empty — saturating into a
   // non-empty store would silently produce wrong stats and a closure of
-  // the union, which no caller wants. Both sides go through the StoreView
-  // seam, so base and closure may use different storage backends.
+  // the union, which no caller wants.
   Status SaturateInto(const rdf::StoreView& base, rdf::StoreView& closure,
                       const SaturationOptions& options,
                       SaturationStats* stats = nullptr) const;

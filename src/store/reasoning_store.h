@@ -20,7 +20,6 @@
 #include "query/evaluator.h"
 #include "rdf/graph.h"
 #include "rdf/hier_encoding.h"
-#include "rdf/sharded_store.h"
 #include "reasoning/saturated_graph.h"
 #include "reformulation/reformulator.h"
 #include "schema/schema.h"
@@ -71,14 +70,6 @@ ReasoningMode ReasoningModeDefault();
 
 struct ReasoningStoreOptions {
   ReasoningMode mode = ReasoningModeDefault();
-  // Storage engine for the base graph and (in saturation mode) the closure.
-  rdf::StorageBackend backend = rdf::StorageBackend::kFlat;
-  // kSharded only: number of subject-hash partitions (values < 1 clamp to
-  // 1), each a flat store. Schema triples (the RDFS constraint predicates
-  // plus owl:inverseOf) are broadcast to a shared schema member so
-  // shard-local saturation stays complete. Answers are identical at any
-  // shard count.
-  size_t shards = rdf::ShardedStore::kDefaultShardCount;
   // Passed through to the reformulation engine (kReformulation mode).
   reformulation::ReformulationOptions reformulation;
   // Passed through to the saturator (kSaturation mode): threads for the
@@ -297,26 +288,10 @@ class ReasoningStore {
     return selector_.get();
   }
 
-  rdf::StorageBackend backend() const { return options_.backend; }
-
-  // Switches the storage engine at run time, carrying the data over (and
-  // rebuilding the closure in saturation mode). No-op if unchanged.
-  void SetBackend(rdf::StorageBackend backend);
-
-  // Changes the shard count of the sharded base store (values < 1 clamp to
-  // 1) and rebuilds the closure in saturation mode. Returns false when the
-  // backend is not kSharded. Re-partitioning defers under open scans or
-  // epoch pins and applies at the next mutation (see
-  // rdf::ShardedStore::SetShardCount); deferral still returns true.
-  bool SetShardCount(size_t n);
-  size_t shard_count() const {
-    const rdf::ShardedStore* s = sharded_store();
-    return s == nullptr ? 1 : s->shard_count();
-  }
-  // The sharded base store, or null when the backend is not kSharded.
-  const rdf::ShardedStore* sharded_store() const {
-    return dynamic_cast<const rdf::ShardedStore*>(&graph_.store());
-  }
+  // The storage layout, reported in configuration dumps: always one flat
+  // store (kFlat, one shard).
+  rdf::StorageBackend backend() const { return rdf::StorageBackend::kFlat; }
+  size_t shard_count() const { return 1; }
 
   // Sets the saturation worker-thread count for subsequent closure builds
   // and maintenance propagation (values < 1 clamp to 1). Does not trigger
@@ -336,7 +311,7 @@ class ReasoningStore {
   // cost-based join order and hash joins. The store lazily builds and
   // caches per-predicate statistics over the queried store (base graph, or
   // the closure in kSaturation mode) and invalidates them on every update,
-  // load, mode switch, and backend switch — so the planner always sees
+  // load, and mode switch — so the planner always sees
   // fresh statistics and never takes the degraded path. Answers are
   // identical either way.
   void SetPlanMode(bool on) { options_.query.plan = on; }
@@ -377,11 +352,6 @@ class ReasoningStore {
   size_t effective_size() const;
 
  private:
-  // Replaces the default-constructed sharded base store with one
-  // configured from the options (shard count, per-shard backend, broadcast
-  // predicates from the vocabulary). No-op unless backend == kSharded.
-  void ConfigureShardedStore();
-
   // Re-closes the schema component after a schema change: previously
   // derived schema edges are retracted and re-derived from the current
   // base schema.

@@ -1,7 +1,7 @@
 // Determinism contract of branch-parallel union evaluation: for EVERY
 // query, Evaluate() must return the exact sequential row stream — same
 // rows, same order — at every thread count, with the scan cache on or
-// off, on the flat and sharded backends. The differential harness checks
+// off. The differential harness checks
 // this on random reformulated workloads; this suite pins down the corners
 // that randomness rarely hits: LIMIT/OFFSET/ASK early cancellation,
 // overlapping and duplicated branches, within-branch duplicates under a
@@ -101,23 +101,17 @@ BgpQuery TakesBranch(StudentGraph& g) {
 
 TEST(QueryParallelTest, OverlappingBranchesStayBitIdentical) {
   StudentGraph g;
-  for (rdf::StorageBackend backend :
-       {rdf::StorageBackend::kFlat, rdf::StorageBackend::kSharded}) {
-    g.graph.SetBackend(backend);
-    // Tutor ⊂ Student and the Student branch appears twice: every Tutor
-    // row is produced by three branches, so cross-branch dedup is load
-    // bearing on every merge path.
-    UnionQuery q;
-    q.AddBranch(TypeBranch(g, "Student"));
-    q.AddBranch(TypeBranch(g, "Tutor"));
-    q.AddBranch(TypeBranch(g, "Student"));
-    ExpectGridIdentical(g.graph.store(), q,
-                        std::string("overlapping branches (") +
-                            rdf::StorageBackendName(backend) + ")");
+  // Tutor ⊂ Student and the Student branch appears twice: every Tutor
+  // row is produced by three branches, so cross-branch dedup is load
+  // bearing on every merge path.
+  UnionQuery q;
+  q.AddBranch(TypeBranch(g, "Student"));
+  q.AddBranch(TypeBranch(g, "Tutor"));
+  q.AddBranch(TypeBranch(g, "Student"));
+  ExpectGridIdentical(g.graph.store(), q, "overlapping branches");
 
-    // Sanity: the union answers are the six students, once each.
-    EXPECT_EQ(Evaluator(g.graph.store()).Evaluate(q).rows.size(), 6u);
-  }
+  // Sanity: the union answers are the six students, once each.
+  EXPECT_EQ(Evaluator(g.graph.store()).Evaluate(q).rows.size(), 6u);
 }
 
 TEST(QueryParallelTest, LimitOffsetAskAreDeterministic) {

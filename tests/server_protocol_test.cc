@@ -143,7 +143,8 @@ TEST_F(ServerProtocolTest, SessionSettingsChangeBehavior) {
   // Bad settings are errors, and the session survives them.
   for (const char* bad :
        {"mode=telepathy", "threads=many", "nonsense=1", "timeout_ms=-2",
-        "plan=maybe"}) {
+        "plan=maybe", "timeout_ms=18446744073709",
+        "timeout_ms=12345678901234567890123"}) {
     auto set = client.Set(bad);
     ASSERT_TRUE(set.ok());
     EXPECT_FALSE(set.value().ok) << bad;
@@ -239,6 +240,35 @@ TEST_F(ServerProtocolTest, OversizedFrameClaimIsRejectedWithoutAllocation) {
   EXPECT_EQ(ReadFrame(fd, kDefaultMaxFrameBytes, &response),
             FrameReadResult::kClosed);
   ::close(fd);
+}
+
+TEST_F(ServerProtocolTest, OversizedAnswerIsAnErrorNotADisconnect) {
+  // 15k rows of ~110 bytes each: the rendered answer is well past the
+  // 1 MiB frame limit the client reads with.
+  const std::string literal(80, 'x');
+  std::string turtle = "@prefix ex: <http://ex.org/> .\n";
+  for (int i = 0; i < 15000; ++i) {
+    turtle += "ex:s" + std::to_string(i) + " ex:label \"" + literal +
+              std::to_string(i) + "\" .\n";
+  }
+  ASSERT_TRUE(store_.LoadTurtle(turtle).ok());
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+
+  auto big = client.Query(std::string(kPrefixes) +
+                          "SELECT ?s ?o WHERE { ?s ex:label ?o }");
+  ASSERT_TRUE(big.ok()) << big.status();
+  EXPECT_FALSE(big.value().ok);
+  EXPECT_NE(big.value().head.find("ResourceExhausted"), std::string::npos)
+      << big.value().head;
+  EXPECT_NE(big.value().head.find(std::to_string(kDefaultMaxFrameBytes)),
+            std::string::npos)
+      << big.value().head;
+
+  auto alive = client.Call("PING\n");
+  ASSERT_TRUE(alive.ok()) << alive.status();
+  EXPECT_TRUE(alive.value().ok);
 }
 
 TEST_F(ServerProtocolTest, TruncatedFrameTearsSessionDownCleanly) {

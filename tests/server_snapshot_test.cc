@@ -195,12 +195,10 @@ std::vector<std::vector<AnswerSet>> ReferenceAnswers(
 // The property: run `readers` concurrent query threads against a
 // SnapshotStore while one writer applies the instance's batches; every
 // (epoch, answers) observation must match the reference for that epoch.
-void RunSnapshotInstance(uint64_t seed, rdf::StorageBackend backend,
-                         int readers) {
+void RunSnapshotInstance(uint64_t seed, int readers) {
   const Instance instance = MakeInstance(seed);
   store::ReasoningStoreOptions options;
   options.mode = store::ReasoningMode::kSaturation;
-  options.backend = backend;
   const std::vector<std::vector<AnswerSet>> expected =
       ReferenceAnswers(instance, options);
   const std::vector<std::string> queries = ProbeQueries();
@@ -282,26 +280,22 @@ void RunSnapshotInstance(uint64_t seed, rdf::StorageBackend backend,
   }
 }
 
-class SnapshotIsolationTest
-    : public ::testing::TestWithParam<std::tuple<rdf::StorageBackend, int>> {};
+class SnapshotIsolationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SnapshotIsolationTest, EveryReadMatchesItsEpoch) {
-  const auto [backend, readers] = GetParam();
+  const int readers = GetParam();
   const uint64_t base_seed = test::EnvU64("WDR_SEED", kDefaultBaseSeed);
   const uint64_t instances = test::EnvU64("WDR_SNAPSHOT_INSTANCES", 10);
   for (uint64_t i = 0; i < instances; ++i) {
-    RunSnapshotInstance(base_seed + i, backend, readers);
+    RunSnapshotInstance(base_seed + i, readers);
     if (HasFatalFailure() || HasNonfatalFailure()) break;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, SnapshotIsolationTest,
-    ::testing::Combine(::testing::Values(rdf::StorageBackend::kFlat),
-                       ::testing::Values(1, 2, 8)),
+    Readers, SnapshotIsolationTest, ::testing::Values(1, 2, 8),
     [](const auto& info) {
-      return std::string(rdf::StorageBackendName(std::get<0>(info.param))) +
-             "_" + std::to_string(std::get<1>(info.param)) + "readers";
+      return std::to_string(info.param) + "readers";
     });
 
 // Sequential sanity check: epochs advance one per write and the published
@@ -394,9 +388,7 @@ TEST(EpochPinFaultInjectionTest, PinDefersFlatCompactionUntilRelease) {
 // While a SnapshotStore read is in flight the queried side's view holds an
 // epoch pin; quiescent stores hold none (pins cannot leak across reads).
 TEST(EpochPinFaultInjectionTest, QuiescentSnapshotStoreHoldsNoPins) {
-  store::ReasoningStoreOptions options;
-  options.backend = rdf::StorageBackend::kFlat;
-  SnapshotStore store(options);
+  SnapshotStore store;
   ASSERT_TRUE(store
                   .LoadTurtle("@prefix ex: <http://ex.org/> .\n"
                               "ex:a ex:p ex:b .\n")

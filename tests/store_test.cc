@@ -300,15 +300,12 @@ TEST(ReasoningStoreTest, SchemaUpdateRebuildsEncoding) {
   EXPECT_EQ(store.encoding()->version(), version_after);
 }
 
-TEST(ReasoningStoreTest, EncodingWorksAcrossBackendsAndModes) {
+TEST(ReasoningStoreTest, EncodingWorksAcrossModes) {
   ReasoningStoreOptions options;
   options.mode = ReasoningMode::kReformulation;
   options.encoding = true;
   ReasoningStore store(options);
   ASSERT_TRUE(store.LoadTurtle(kData).ok());
-  EXPECT_EQ(Answers(store, kAnimalQuery), 1u);
-
-  store.SetBackend(rdf::StorageBackend::kSharded);
   EXPECT_EQ(Answers(store, kAnimalQuery), 1u);
   EXPECT_EQ(Answers(store, kMammalQuery), 1u);
 
