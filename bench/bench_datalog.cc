@@ -92,28 +92,6 @@ void BM_DatalogSaturation(benchmark::State& state) {
 }
 BENCHMARK(BM_DatalogSaturation)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-// Parallel semi-naive materialization ([29], Motik et al. AAAI'14) on the
-// RDF translation. Speedups require actual cores; on a single-core host
-// this honestly reports the partition/merge overhead instead.
-void BM_ParallelDatalogSaturation(benchmark::State& state) {
-  wdr::workload::UniversityConfig config;
-  config.universities = 2;
-  wdr::workload::UniversityData data =
-      wdr::workload::GenerateUniversityData(config);
-  wdr::datalog::RdfDatalogTranslation xlat =
-      wdr::datalog::TranslateGraph(data.graph, data.vocab);
-  wdr::datalog::EvalStats stats;
-  for (auto _ : state) {
-    auto db = wdr::datalog::MaterializeParallel(
-        xlat.program, static_cast<int>(state.range(0)), &stats);
-    benchmark::DoNotOptimize(db.ok());
-  }
-  state.counters["derived"] = static_cast<double>(stats.derived_tuples);
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ParallelDatalogSaturation)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 // Magic sets on the RDF translation: answering a *selective* query
 // (the types of one resource) without materializing the whole closure —
 // the "RDF-specific Datalog optimization" §II-D asks for. Compare with
@@ -131,15 +109,16 @@ void BM_MagicSelectiveTypeQuery(benchmark::State& state) {
       "http://wdr.example.org/univ#Professor0_0_0");
   wdr::datalog::DlAtom query;
   query.pred = xlat.triple_pred;
-  query.args = {wdr::datalog::DlTerm::Constant(xlat.sym_of_term[prof]),
-                wdr::datalog::DlTerm::Constant(
-                    xlat.sym_of_term[data.vocab.type]),
+  query.args = {wdr::datalog::DlTerm::Constant(prof),
+                wdr::datalog::DlTerm::Constant(data.vocab.type),
                 wdr::datalog::DlTerm::Variable(0)};
 
   wdr::datalog::EvalStats stats;
   size_t answers = 0;
   for (auto _ : state) {
-    auto rows = wdr::datalog::AnswerWithMagic(xlat.program, query, &stats);
+    const wdr::datalog::TranslationEdb edb(xlat);
+    auto rows = wdr::datalog::AnswerWithMagic(xlat.program, query, &stats,
+                                              edb.sources());
     answers = rows.ok() ? rows->size() : 0;
     benchmark::DoNotOptimize(answers);
   }
@@ -149,7 +128,7 @@ void BM_MagicSelectiveTypeQuery(benchmark::State& state) {
 BENCHMARK(BM_MagicSelectiveTypeQuery)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// Translation overhead alone (facts + rules, no evaluation).
+// Translation overhead alone (rules + literal flags, no evaluation).
 void BM_TranslateGraph(benchmark::State& state) {
   wdr::workload::UniversityConfig config;
   config.universities = 2;
@@ -157,7 +136,7 @@ void BM_TranslateGraph(benchmark::State& state) {
       wdr::workload::GenerateUniversityData(config);
   for (auto _ : state) {
     auto xlat = wdr::datalog::TranslateGraph(data.graph, data.vocab);
-    benchmark::DoNotOptimize(xlat.program.facts().size());
+    benchmark::DoNotOptimize(xlat.literal.size());
   }
 }
 BENCHMARK(BM_TranslateGraph)->Unit(benchmark::kMillisecond);

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
   timer.Reset();
   wdr::datalog::RdfDatalogTranslation xlat =
       wdr::datalog::TranslateGraph(data.graph, data.vocab);
-  auto db =
-      wdr::datalog::Materialize(xlat.program, wdr::datalog::Strategy::kSemiNaive);
+  auto db = wdr::datalog::MaterializeTranslation(xlat);
   if (!db.ok()) {
     std::fprintf(stderr, "datalog materialization failed: %s\n",
                  db.status().ToString().c_str());

@@ -74,15 +74,14 @@ int main() {
 
   wdr::datalog::RdfDatalogTranslation xlat =
       wdr::datalog::TranslateGraph(graph, vocab);
-  auto rdf_db = wdr::datalog::Materialize(
-      xlat.program, wdr::datalog::Strategy::kSemiNaive, &stats);
+  auto rdf_db = wdr::datalog::MaterializeTranslation(xlat, {}, &stats);
   if (!rdf_db.ok()) {
     std::cerr << "materialization error: " << rdf_db.status() << "\n";
     return EXIT_FAILURE;
   }
   std::cout << "\nRDF graph (" << graph.size() << " triples) translated to "
-            << xlat.program.facts().size() << " facts + "
-            << xlat.program.rules().size() << " RDFS rules; "
+            << xlat.program.rules().size()
+            << " rules over the store (a bridge + the RDFS rules, no facts); "
             << stats.derived_tuples << " triples derived.\n";
 
   // Cross-check against the native saturator.

@@ -7,6 +7,7 @@
 #include "datalog/database.h"
 #include "datalog/program.h"
 #include "exec/plan.h"
+#include "exec/source.h"
 
 namespace wdr::datalog {
 
@@ -25,6 +26,25 @@ struct EvalStats {
   size_t rule_evaluations = 0;
 };
 
+// EDB relations served from outside the Database, by predicate: the RDF
+// translation reads its base triples straight from the graph's StoreView
+// (exec::StoreSource) instead of copying them into facts. Atoms over a
+// bound predicate scan its source, bound arguments pushed into the scan;
+// such a predicate may head no rule and hold no fact. A source must have
+// its predicate's arity; sources are not owned and must outlive the
+// evaluation.
+struct EdbSources {
+  std::vector<const exec::TupleSource*> by_pred;  // null: in the Database
+
+  void Bind(PredId pred, const exec::TupleSource* source) {
+    if (pred >= by_pred.size()) by_pred.resize(pred + 1, nullptr);
+    by_pred[pred] = source;
+  }
+  const exec::TupleSource* Find(PredId pred) const {
+    return pred < by_pred.size() ? by_pred[pred] : nullptr;
+  }
+};
+
 // Knobs for the wdr::exec physical-plan route through rule-body joins.
 struct BodyPlanOptions {
   bool hash_joins = true;
@@ -40,14 +60,16 @@ struct BodyPlanOptions {
 // WDR_PLAN=1 in the environment flips the `plan` default on.
 struct MaterializeOptions {
   Strategy strategy = Strategy::kSemiNaive;
-  int threads = 1;  // > 1 selects the parallel semi-naive route
   bool plan = exec::PlanModeDefault();
   BodyPlanOptions plan_options;
 };
 
+// `edb`, when non-null, serves the atoms of its predicates; the Database
+// then holds only the facts and the derived (IDB) relations.
 Result<Database> MaterializeWithOptions(const DlProgram& program,
                                         const MaterializeOptions& options,
-                                        EvalStats* stats = nullptr);
+                                        EvalStats* stats = nullptr,
+                                        const EdbSources* edb = nullptr);
 
 // Materializes the least fixpoint of `program` (facts + rules).
 // The program must Validate(); the two strategies produce identical
@@ -55,28 +77,18 @@ Result<Database> MaterializeWithOptions(const DlProgram& program,
 Result<Database> Materialize(const DlProgram& program, Strategy strategy,
                              EvalStats* stats = nullptr);
 
-// Parallel semi-naive materialization, after the paper's [29] (Motik et
-// al., AAAI'14: "parallel materialisation of datalog programs in
-// centralised, main-memory RDF systems"): within each semi-naive round,
-// the delta of every (rule, delta-position) pair is partitioned across
-// `threads` workers that join against the (read-only) current database;
-// derived tuples are merged single-threaded between rounds, so rounds are
-// barriers exactly as in [29]'s round-based variant. Produces the same
-// database as the sequential strategies (property-tested). `threads` <= 1
-// degrades to sequential semi-naive.
-Result<Database> MaterializeParallel(const DlProgram& program, int threads,
-                                     EvalStats* stats = nullptr);
-
 // Evaluates a conjunctive query (the `body` atoms, sharing variable ids)
 // against a materialized database, returning the distinct projections of
 // `projection` variables. Every projected variable must occur in `body`.
 // When `plan` is non-null the body runs through a wdr::exec physical plan
 // (cost-based over live relation statistics); answers are identical.
+// Atoms over `edb` predicates scan their external source.
 Result<std::vector<Tuple>> EvaluateQuery(const DlProgram& program,
                                          const Database& db,
                                          const std::vector<DlAtom>& body,
                                          const std::vector<DlVarId>& projection,
-                                         const BodyPlanOptions* plan = nullptr);
+                                         const BodyPlanOptions* plan = nullptr,
+                                         const EdbSources* edb = nullptr);
 
 }  // namespace wdr::datalog
 

@@ -231,7 +231,8 @@ Result<MagicProgram> MagicTransform(const DlProgram& program,
 
 Result<std::vector<Tuple>> AnswerWithMagic(const DlProgram& program,
                                            const DlAtom& query,
-                                           EvalStats* stats) {
+                                           EvalStats* stats,
+                                           const EdbSources* edb) {
   WDR_ASSIGN_OR_RETURN(MagicProgram magic, MagicTransform(program, query));
   WDR_COUNTER_INC("wdr.datalog.magic.transforms");
   WDR_COUNTER_ADD("wdr.datalog.magic.rules", magic.program.rules().size());
@@ -239,8 +240,9 @@ Result<std::vector<Tuple>> AnswerWithMagic(const DlProgram& program,
     WDR_COUNTER_ADD("wdr.datalog.magic.rules_added",
                     magic.program.rules().size() - program.rules().size());
   }
-  WDR_ASSIGN_OR_RETURN(
-      Database db, Materialize(magic.program, Strategy::kSemiNaive, stats));
+  WDR_ASSIGN_OR_RETURN(Database db,
+                       MaterializeWithOptions(magic.program,
+                                              MaterializeOptions{}, stats, edb));
 
   // Projection: the query's variables in increasing variable-id order.
   std::vector<DlVarId> projection;
@@ -250,7 +252,8 @@ Result<std::vector<Tuple>> AnswerWithMagic(const DlProgram& program,
   std::sort(projection.begin(), projection.end());
   projection.erase(std::unique(projection.begin(), projection.end()),
                    projection.end());
-  return EvaluateQuery(magic.program, db, {magic.query_atom}, projection);
+  return EvaluateQuery(magic.program, db, {magic.query_atom}, projection,
+                       /*plan=*/nullptr, edb);
 }
 
 }  // namespace wdr::datalog

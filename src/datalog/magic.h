@@ -49,10 +49,12 @@ Result<MagicProgram> MagicTransform(const DlProgram& program,
 // distinct projections of the query atom's variables, in order of their
 // variable ids. `stats` (optional) receives the materialization stats,
 // whose derived_tuples is the number the transformation is meant to
-// shrink.
+// shrink. `edb`, when non-null, serves the atoms of its (EDB) predicates
+// in both the materialization and the final query.
 Result<std::vector<Tuple>> AnswerWithMagic(const DlProgram& program,
                                            const DlAtom& query,
-                                           EvalStats* stats = nullptr);
+                                           EvalStats* stats = nullptr,
+                                           const EdbSources* edb = nullptr);
 
 }  // namespace wdr::datalog
 

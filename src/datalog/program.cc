@@ -87,8 +87,12 @@ std::string DlProgram::AtomToString(
     if (t.is_var) {
       out += t.id < var_names.size() ? var_names[t.id]
                                      : "V" + std::to_string(t.id);
-    } else {
+    } else if (t.id < sym_names_.size()) {
       out += sym_names_[t.id];
+    } else {
+      // A symbol with no name: the RDF translation's symbols are TermIds.
+      out += '#';
+      out += std::to_string(t.id);
     }
   }
   out += ')';

@@ -71,7 +71,8 @@ class DlProgram {
   // rule range-restricted (each head variable occurs in the body).
   Status Validate() const;
 
-  // Human-readable rendering of an atom, e.g. "ancestor(X, tom)".
+  // Human-readable rendering of an atom, e.g. "ancestor(X, tom)". A
+  // constant with no interned name renders as "#<id>".
   std::string AtomToString(const DlAtom& atom,
                            const std::vector<std::string>& var_names) const;
 

@@ -13,10 +13,16 @@ using query::PatternTerm;
 using query::TriplePattern;
 using rdf::TermId;
 
-// Builds the six RDFS rules over the reified triple predicate.
-// Variable ids within each rule: S=0, P=1, O=2, C=3 (roles vary per rule).
-void AddRdfsRules(DlProgram& program, PredId triple, PredId resource,
-                  Sym type, Sym sco, Sym spo, Sym dom, Sym rng) {
+// Builds the bridge and the six RDFS rules over the reified triple
+// predicate. Variable ids within each rule: S=0, P=1, O=2, C=3 (roles vary
+// per rule).
+void AddRules(DlProgram& program, PredId triple, PredId base,
+              PredId resource, const schema::Vocabulary& vocab) {
+  const Sym type = vocab.type;
+  const Sym sco = vocab.sub_class_of;
+  const Sym spo = vocab.sub_property_of;
+  const Sym dom = vocab.domain;
+  const Sym rng = vocab.range;
   auto v = [](DlVarId id) { return DlTerm::Variable(id); };
   auto c = [](Sym s) { return DlTerm::Constant(s); };
   auto atom = [&](PredId pred, std::vector<DlTerm> args) {
@@ -34,6 +40,9 @@ void AddRdfsRules(DlProgram& program, PredId triple, PredId resource,
     program.AddRule(std::move(r));
   };
 
+  // Bridge: triple(S,P,O) :- triple__base(S,P,O).
+  rule(atom(triple, {v(0), v(1), v(2)}), {atom(base, {v(0), v(1), v(2)})},
+       {"S", "P", "O"});
   // rdfs9: triple(S,type,C2) :- triple(C1,sco,C2), triple(S,type,C1).
   rule(atom(triple, {v(0), c(type), v(2)}),
        {atom(triple, {v(1), c(sco), v(2)}), atom(triple, {v(0), c(type), v(1)})},
@@ -62,6 +71,72 @@ void AddRdfsRules(DlProgram& program, PredId triple, PredId resource,
        {"P1", "P2", "P3"});
 }
 
+// One UCQ branch as a conjunctive query over `triple`. Symbols are
+// TermIds, so constants carry over as they are; preset bindings become
+// constants too. Projected preset variables are `fixed` columns, filled
+// in after evaluation; the query itself projects `effective`.
+struct BranchQuery {
+  std::vector<DlAtom> body;
+  size_t width = 0;  // projection columns
+  std::vector<DlVarId> effective;
+  std::vector<size_t> effective_cols;
+  std::vector<std::pair<size_t, TermId>> fixed;  // (column, value)
+};
+
+BranchQuery TranslateBranch(const BgpQuery& branch, PredId triple) {
+  BranchQuery out;
+  auto term = [&](const PatternTerm& t) {
+    if (!t.is_var()) return DlTerm::Constant(t.id);
+    auto it = branch.preset().find(t.var);
+    return it != branch.preset().end() ? DlTerm::Constant(it->second)
+                                       : DlTerm::Variable(t.var);
+  };
+  for (const TriplePattern& atom : branch.atoms()) {
+    DlAtom dl;
+    dl.pred = triple;
+    dl.args = {term(atom.s), term(atom.p), term(atom.o)};
+    out.body.push_back(std::move(dl));
+  }
+  out.width = branch.projection().size();
+  for (size_t i = 0; i < out.width; ++i) {
+    const query::VarId v = branch.projection()[i];
+    auto it = branch.preset().find(v);
+    if (it != branch.preset().end()) {
+      out.fixed.emplace_back(i, it->second);
+    } else {
+      out.effective.push_back(v);
+      out.effective_cols.push_back(i);
+    }
+  }
+  return out;
+}
+
+// Answers every branch of `q` with `answer` (BranchQuery -> the distinct
+// `effective` tuples) and folds the rows into one deduplicated result.
+template <typename AnswerFn>
+Result<query::ResultSet> AnswerUnion(const query::UnionQuery& q,
+                                     PredId triple, AnswerFn&& answer) {
+  query::ResultSet result;
+  std::set<query::Row> seen;
+  for (const BgpQuery& branch : q.branches()) {
+    if (result.var_names.empty()) {
+      result.var_names = branch.ProjectionNames();
+    }
+    const BranchQuery bq = TranslateBranch(branch, triple);
+    WDR_ASSIGN_OR_RETURN(std::vector<Tuple> tuples, answer(bq));
+    for (const Tuple& tuple : tuples) {
+      query::Row row(bq.width, rdf::kNullTermId);
+      for (size_t i = 0; i < bq.effective_cols.size(); ++i) {
+        row[bq.effective_cols[i]] = tuple[i];
+      }
+      for (const auto& [col, value] : bq.fixed) row[col] = value;
+      if (seen.insert(row).second) result.rows.push_back(std::move(row));
+    }
+  }
+  query::ApplySolutionModifiers(q, result);
+  return result;
+}
+
 }  // namespace
 
 RdfDatalogTranslation TranslateGraph(const rdf::Graph& graph,
@@ -69,39 +144,36 @@ RdfDatalogTranslation TranslateGraph(const rdf::Graph& graph,
   RdfDatalogTranslation xlat;
   DlProgram& program = xlat.program;
   xlat.triple_pred = program.InternPred("triple", 3);
+  xlat.base_pred = program.InternPred("triple__base", 3);
   xlat.resource_pred = program.InternPred("resource", 1);
-
-  const rdf::Dictionary& dict = graph.dict();
-  xlat.sym_of_term.assign(dict.size() + 1, 0);
-  xlat.term_of_sym.clear();
-  xlat.term_of_sym.reserve(dict.size());
-  for (TermId id = 1; id <= dict.size(); ++id) {
-    Sym sym = program.InternSym("t" + std::to_string(id));
-    xlat.sym_of_term[id] = sym;
-    if (sym >= xlat.term_of_sym.size()) xlat.term_of_sym.resize(sym + 1, 0);
-    xlat.term_of_sym[sym] = id;
-    if (!dict.term(id).is_literal()) {
-      DlAtom fact;
-      fact.pred = xlat.resource_pred;
-      fact.args = {DlTerm::Constant(sym)};
-      program.AddFact(std::move(fact));
-    }
-  }
-
-  graph.store().Match(0, 0, 0, [&](const rdf::Triple& t) {
-    DlAtom fact;
-    fact.pred = xlat.triple_pred;
-    fact.args = {DlTerm::Constant(xlat.sym_of_term[t.s]),
-                 DlTerm::Constant(xlat.sym_of_term[t.p]),
-                 DlTerm::Constant(xlat.sym_of_term[t.o])};
-    program.AddFact(std::move(fact));
-  });
-
-  AddRdfsRules(program, xlat.triple_pred, xlat.resource_pred,
-               xlat.sym_of_term[vocab.type], xlat.sym_of_term[vocab.sub_class_of],
-               xlat.sym_of_term[vocab.sub_property_of],
-               xlat.sym_of_term[vocab.domain], xlat.sym_of_term[vocab.range]);
+  AddRules(program, xlat.triple_pred, xlat.base_pred, xlat.resource_pred,
+           vocab);
+  xlat.store = &graph.store();
+  ExtendLiteralFlags(xlat, graph.dict());
   return xlat;
+}
+
+void ExtendLiteralFlags(RdfDatalogTranslation& xlat,
+                        const rdf::Dictionary& dict) {
+  if (xlat.literal.empty()) xlat.literal.push_back(1);  // the null id
+  xlat.literal.reserve(dict.size() + 1);
+  for (size_t id = xlat.literal.size(); id <= dict.size(); ++id) {
+    xlat.literal.push_back(
+        dict.term(static_cast<TermId>(id)).is_literal() ? 1 : 0);
+  }
+}
+
+TranslationEdb::TranslationEdb(const RdfDatalogTranslation& xlat)
+    : base_(*xlat.store), resource_(xlat.literal) {
+  sources_.Bind(xlat.base_pred, &base_);
+  sources_.Bind(xlat.resource_pred, &resource_);
+}
+
+Result<Database> MaterializeTranslation(const RdfDatalogTranslation& xlat,
+                                        const MaterializeOptions& options,
+                                        EvalStats* stats) {
+  const TranslationEdb edb(xlat);
+  return MaterializeWithOptions(xlat.program, options, stats, edb.sources());
 }
 
 Result<rdf::FlatTripleStore> MaterializeViaDatalog(
@@ -115,13 +187,13 @@ Result<rdf::FlatTripleStore> MaterializeViaDatalog(
 Result<rdf::FlatTripleStore> MaterializeViaDatalog(
     const rdf::Graph& graph, const schema::Vocabulary& vocab,
     const MaterializeOptions& options, EvalStats* stats) {
-  RdfDatalogTranslation xlat = TranslateGraph(graph, vocab);
+  const RdfDatalogTranslation xlat = TranslateGraph(graph, vocab);
   WDR_ASSIGN_OR_RETURN(Database db,
-                       MaterializeWithOptions(xlat.program, options, stats));
+                       MaterializeTranslation(xlat, options, stats));
   std::vector<rdf::Triple> triples;
+  triples.reserve(db.relation(xlat.triple_pred).size());
   for (const Tuple& t : db.relation(xlat.triple_pred).tuples()) {
-    triples.emplace_back(xlat.term_of_sym[t[0]], xlat.term_of_sym[t[1]],
-                         xlat.term_of_sym[t[2]]);
+    triples.emplace_back(t[0], t[1], t[2]);
   }
   rdf::FlatTripleStore closure;
   closure.Build(std::move(triples));
@@ -132,177 +204,49 @@ Result<query::ResultSet> AnswerViaDatalog(const RdfDatalogTranslation& xlat,
                                           const Database& db,
                                           const query::UnionQuery& q,
                                           const BodyPlanOptions* plan) {
-  query::ResultSet result;
-  std::set<query::Row> seen;
-  for (const BgpQuery& branch : q.branches()) {
-    if (result.var_names.empty()) {
-      result.var_names = branch.ProjectionNames();
-    }
-    // Translate atoms; a branch mentioning a term the graph never interned
-    // can only match nothing.
-    std::vector<DlAtom> body;
-    bool impossible = false;
-    auto translate = [&](const PatternTerm& t) -> DlTerm {
-      if (t.is_var()) return DlTerm::Variable(t.var);
-      if (t.id >= xlat.sym_of_term.size()) {
-        impossible = true;
-        return DlTerm::Constant(0);
-      }
-      return DlTerm::Constant(xlat.sym_of_term[t.id]);
-    };
-    for (const TriplePattern& atom : branch.atoms()) {
-      DlAtom dl;
-      dl.pred = xlat.triple_pred;
-      dl.args = {translate(atom.s), translate(atom.p), translate(atom.o)};
-      body.push_back(std::move(dl));
-    }
-    if (impossible) continue;
-    // Preset bindings become equality atoms via constant substitution.
-    for (DlAtom& atom : body) {
-      for (DlTerm& term : atom.args) {
-        if (!term.is_var) continue;
-        auto it = branch.preset().find(term.id);
-        if (it != branch.preset().end()) {
-          term = DlTerm::Constant(xlat.sym_of_term[it->second]);
-        }
-      }
-    }
-
-    std::vector<DlVarId> projection(branch.projection().begin(),
-                                    branch.projection().end());
-    // Projected variables that are preset or absent from the body are not
-    // supported by the generic Datalog query path; answer those branches by
-    // substituting the preset value afterwards.
-    std::vector<std::pair<size_t, rdf::TermId>> fixed;  // (column, value)
-    std::vector<DlVarId> effective;
-    std::vector<size_t> effective_cols;
-    for (size_t i = 0; i < projection.size(); ++i) {
-      auto it = branch.preset().find(projection[i]);
-      if (it != branch.preset().end()) {
-        fixed.emplace_back(i, it->second);
-      } else {
-        effective.push_back(projection[i]);
-        effective_cols.push_back(i);
-      }
-    }
-    WDR_ASSIGN_OR_RETURN(
-        std::vector<Tuple> rows,
-        EvaluateQuery(xlat.program, db, body, effective, plan));
-    for (const Tuple& tuple : rows) {
-      query::Row row(projection.size(), rdf::kNullTermId);
-      for (size_t i = 0; i < effective_cols.size(); ++i) {
-        row[effective_cols[i]] = xlat.term_of_sym[tuple[i]];
-      }
-      for (const auto& [col, value] : fixed) row[col] = value;
-      if (seen.insert(row).second) result.rows.push_back(std::move(row));
-    }
-  }
-  query::ApplySolutionModifiers(q, result);
-  return result;
+  return AnswerUnion(q, xlat.triple_pred, [&](const BranchQuery& bq) {
+    return EvaluateQuery(xlat.program, db, bq.body, bq.effective, plan);
+  });
 }
 
 Result<query::ResultSet> AnswerViaMagicUnion(const RdfDatalogTranslation& xlat,
                                              const query::UnionQuery& q,
                                              EvalStats* stats) {
-  query::ResultSet result;
-  std::set<query::Row> seen;
-  for (const BgpQuery& branch : q.branches()) {
-    if (result.var_names.empty()) {
-      result.var_names = branch.ProjectionNames();
-    }
-    std::vector<DlAtom> body;
-    bool impossible = false;
-    auto translate = [&](const PatternTerm& t) -> DlTerm {
-      if (t.is_var()) return DlTerm::Variable(t.var);
-      if (t.id >= xlat.sym_of_term.size()) {
-        impossible = true;
-        return DlTerm::Constant(0);
-      }
-      return DlTerm::Constant(xlat.sym_of_term[t.id]);
-    };
-    for (const TriplePattern& atom : branch.atoms()) {
-      DlAtom dl;
-      dl.pred = xlat.triple_pred;
-      dl.args = {translate(atom.s), translate(atom.p), translate(atom.o)};
-      body.push_back(std::move(dl));
-    }
-    if (impossible) continue;
-    // Preset bindings become constants, as in AnswerViaDatalog.
-    for (DlAtom& atom : body) {
-      for (DlTerm& term : atom.args) {
-        if (!term.is_var) continue;
-        auto it = branch.preset().find(term.id);
-        if (it != branch.preset().end()) {
-          term = DlTerm::Constant(xlat.sym_of_term[it->second]);
+  const TranslationEdb edb(xlat);
+  return AnswerUnion(
+      q, xlat.triple_pred,
+      [&](const BranchQuery& bq) -> Result<std::vector<Tuple>> {
+        // Wrap the branch in a fresh answer predicate so the magic
+        // transform has an IDB query atom to adorn; its all-free query
+        // atom then asks for the distinct projections.
+        DlProgram program = xlat.program;
+        const PredId answer =
+            program.InternPred("__magic_answer", bq.effective.size());
+        DlRule rule;
+        rule.head.pred = answer;
+        for (DlVarId v : bq.effective) {
+          rule.head.args.push_back(DlTerm::Variable(v));
         }
-      }
-    }
+        rule.body = bq.body;
+        program.AddRule(std::move(rule));
 
-    const std::vector<DlVarId> projection(branch.projection().begin(),
-                                          branch.projection().end());
-    std::vector<std::pair<size_t, rdf::TermId>> fixed;  // (column, value)
-    std::vector<DlVarId> effective;
-    std::vector<size_t> effective_cols;
-    for (size_t i = 0; i < projection.size(); ++i) {
-      auto it = branch.preset().find(projection[i]);
-      if (it != branch.preset().end()) {
-        fixed.emplace_back(i, it->second);
-      } else {
-        effective.push_back(projection[i]);
-        effective_cols.push_back(i);
-      }
-    }
-
-    // Wrap the branch in a fresh answer predicate so the magic transform
-    // has an IDB query atom to adorn; its all-free query atom then asks
-    // for the distinct projections.
-    DlProgram program = xlat.program;
-    const PredId answer =
-        program.InternPred("__magic_answer", effective.size());
-    DlRule rule;
-    rule.head.pred = answer;
-    uint32_t max_var = 0;
-    for (DlVarId v : effective) {
-      rule.head.args.push_back(DlTerm::Variable(v));
-      if (static_cast<uint32_t>(v) > max_var) max_var = v;
-    }
-    for (const DlAtom& atom : body) {
-      for (const DlTerm& term : atom.args) {
-        if (term.is_var && term.id > max_var) max_var = term.id;
-      }
-    }
-    rule.body = std::move(body);
-    for (uint32_t v = 0; v <= max_var; ++v) {
-      rule.var_names.push_back("v" + std::to_string(v));
-    }
-    program.AddRule(std::move(rule));
-
-    DlAtom query_atom;
-    query_atom.pred = answer;
-    for (size_t i = 0; i < effective.size(); ++i) {
-      query_atom.args.push_back(DlTerm::Variable(static_cast<DlVarId>(i)));
-    }
-    EvalStats branch_stats;
-    WDR_ASSIGN_OR_RETURN(
-        std::vector<Tuple> tuples,
-        AnswerWithMagic(program, query_atom,
-                        stats != nullptr ? &branch_stats : nullptr));
-    if (stats != nullptr) {
-      stats->derived_tuples += branch_stats.derived_tuples;
-      stats->iterations += branch_stats.iterations;
-      stats->rule_evaluations += branch_stats.rule_evaluations;
-    }
-    for (const Tuple& tuple : tuples) {
-      query::Row row(projection.size(), rdf::kNullTermId);
-      for (size_t i = 0; i < effective_cols.size(); ++i) {
-        row[effective_cols[i]] = xlat.term_of_sym[tuple[i]];
-      }
-      for (const auto& [col, value] : fixed) row[col] = value;
-      if (seen.insert(row).second) result.rows.push_back(std::move(row));
-    }
-  }
-  query::ApplySolutionModifiers(q, result);
-  return result;
+        DlAtom query_atom;
+        query_atom.pred = answer;
+        for (size_t i = 0; i < bq.effective.size(); ++i) {
+          query_atom.args.push_back(
+              DlTerm::Variable(static_cast<DlVarId>(i)));
+        }
+        EvalStats branch_stats;
+        Result<std::vector<Tuple>> tuples = AnswerWithMagic(
+            program, query_atom, stats != nullptr ? &branch_stats : nullptr,
+            edb.sources());
+        if (stats != nullptr) {
+          stats->derived_tuples += branch_stats.derived_tuples;
+          stats->iterations += branch_stats.iterations;
+          stats->rule_evaluations += branch_stats.rule_evaluations;
+        }
+        return tuples;
+      });
 }
 
 }  // namespace wdr::datalog

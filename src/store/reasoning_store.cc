@@ -168,18 +168,22 @@ void ReasoningStore::RecloseSchema() {
 void ReasoningStore::OnUpdate(bool schema_changed) {
   stats_cache_.reset();
   closure_stats_cache_.reset();
-  // The Datalog translation bakes the facts in; any update invalidates it.
-  datalog_cache_.reset();
   if (selector_ != nullptr) selector_->NoteUpdate();
   if (schema_changed) {
     RecloseSchema();
     schema_cache_.reset();
+    datalog_cache_.reset();
     // One counter invalidates everything derived from the schema: the
     // encoding (rebuilt lazily at the next Query) and the cached
     // Reformulators with their memos.
     ++schema_version_;
     reformulator_cache_.reset();
     reformulator_plain_cache_.reset();
+  } else if (datalog_cache_.has_value()) {
+    // The Datalog translation reads the triples from the store; a data
+    // write only owes it the literal flags of its new terms. No reader of
+    // this store runs during a write, so the flags grow race-free.
+    datalog::ExtendLiteralFlags(*datalog_cache_, graph_.dict());
   }
 }
 
@@ -224,7 +228,8 @@ void ReasoningStore::RebuildEncoding() {
   schema_cache_.reset();
   stats_cache_.reset();
   closure_stats_cache_.reset();
-  // The permutation moved every id the translation's sym tables bake in.
+  // The permutation moved every id the translation holds (rule constants,
+  // literal flags) and replaced the graph's store.
   datalog_cache_.reset();
   reformulator_cache_.reset();
   // The schema version is unchanged by a rebuild, so the plain cache's
@@ -293,6 +298,11 @@ const datalog::RdfDatalogTranslation& ReasoningStore::CachedDatalog() {
     obs::MetricsRegistry::Get()
         .GetHistogram("wdr.store.datalog.translate")
         .RecordSeconds(timer.ElapsedSeconds());
+  } else if (datalog_cache_->store != &graph_.store()) {
+    // A moved store keeps its translation; point it at this graph. The
+    // write only happens when the pointer moved, so concurrent Executes
+    // reading it see no race.
+    datalog_cache_->store = &graph_.store();
   }
   return *datalog_cache_;
 }

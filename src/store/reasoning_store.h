@@ -43,8 +43,8 @@ enum class ReasoningMode {
   // (AllegroGraph / Virtuoso style). Zero maintenance.
   kBackward,
   // Datalog translation + magic sets, evaluated per query against the
-  // base facts (§II-D: "translation to Datalog"). Zero maintenance; the
-  // translation is cached between updates.
+  // base triples in the store (§II-D: "translation to Datalog"). Zero
+  // maintenance; the rules-only translation survives data writes.
   kDatalog,
   // Adaptive: every query is routed to one of the four static techniques
   // above by an online-fitted cost model (analysis::StrategySelector).
@@ -146,7 +146,8 @@ struct PreparedQuery {
   // store's cache; valid until the next update.
   const schema::Schema* schema = nullptr;
   // Datalog translation for kDatalog (null in other modes). Borrowed from
-  // the store's cache; valid until the next update.
+  // the store's cache; valid until the next vocabulary change (a schema
+  // write or an encoding rebuild).
   const datalog::RdfDatalogTranslation* datalog = nullptr;
   // Set when kAuto routed this query: `mode` above is the routed static
   // mode, and Execute scores the selector's estimate against the actual
@@ -374,8 +375,8 @@ class ReasoningStore {
   const rdf::HierEncoding* CachedEncoding();
   void RebuildEncoding();
 
-  // Datalog translation of the current base graph (kDatalog route),
-  // rebuilt lazily after updates.
+  // Datalog translation (kDatalog route): rules over the graph's store,
+  // rebuilt lazily after a vocabulary change, bound to this store's graph.
   const datalog::RdfDatalogTranslation& CachedDatalog();
 
   // Creates the auto-mode selector on first use, seeded with a
@@ -436,9 +437,9 @@ class ReasoningStore {
       std::make_unique<std::mutex>();
   std::deque<analysis::RouteDecision> decisions_;
 
-  // kDatalog state: the translation of the current base graph (facts baked
-  // in), built lazily at the first kDatalog-routed Prepare after each
-  // update.
+  // kDatalog state: the rules-only translation, built lazily at the first
+  // kDatalog-routed Prepare after each schema write or encoding rebuild.
+  // Data writes extend its literal flags in OnUpdate.
   std::optional<datalog::RdfDatalogTranslation> datalog_cache_;
 
   // Hierarchy-aware encoding state (see SetEncoding). The version counter

@@ -101,17 +101,12 @@ inline Result<query::ResultSet> AnswerViaMagic(
   std::set<query::Row> seen;
   for (const query::BgpQuery& branch : q.branches()) {
     if (result.var_names.empty()) result.var_names = branch.ProjectionNames();
-    // Translate atoms as AnswerViaDatalog does; a branch mentioning a term
-    // the graph never interned can only match nothing.
+    // Translate atoms as AnswerViaDatalog does: Datalog symbols are
+    // TermIds, so constants carry over unchanged.
     std::vector<datalog::DlAtom> body;
-    bool impossible = false;
     auto translate = [&](const query::PatternTerm& t) -> datalog::DlTerm {
       if (t.is_var()) return datalog::DlTerm::Variable(t.var);
-      if (t.id >= xlat.sym_of_term.size()) {
-        impossible = true;
-        return datalog::DlTerm::Constant(0);
-      }
-      return datalog::DlTerm::Constant(xlat.sym_of_term[t.id]);
+      return datalog::DlTerm::Constant(t.id);
     };
     for (const query::TriplePattern& atom : branch.atoms()) {
       datalog::DlAtom dl;
@@ -119,7 +114,6 @@ inline Result<query::ResultSet> AnswerViaMagic(
       dl.args = {translate(atom.s), translate(atom.p), translate(atom.o)};
       body.push_back(std::move(dl));
     }
-    if (impossible) continue;
     const std::vector<query::VarId> projection(branch.projection().begin(),
                                                branch.projection().end());
 
@@ -153,13 +147,12 @@ inline Result<query::ResultSet> AnswerViaMagic(
       query_atom.args.push_back(
           datalog::DlTerm::Variable(static_cast<datalog::DlVarId>(i)));
     }
-    WDR_ASSIGN_OR_RETURN(std::vector<datalog::Tuple> tuples,
-                         datalog::AnswerWithMagic(program, query_atom));
+    const datalog::TranslationEdb edb(xlat);
+    WDR_ASSIGN_OR_RETURN(
+        std::vector<datalog::Tuple> tuples,
+        datalog::AnswerWithMagic(program, query_atom, nullptr, edb.sources()));
     for (const datalog::Tuple& tuple : tuples) {
-      query::Row row(projection.size(), rdf::kNullTermId);
-      for (size_t i = 0; i < projection.size(); ++i) {
-        row[i] = xlat.term_of_sym[tuple[i]];
-      }
+      query::Row row(tuple.begin(), tuple.end());
       if (seen.insert(row).second) result.rows.push_back(std::move(row));
     }
   }
@@ -244,8 +237,7 @@ inline ::testing::AssertionResult RunDifferentialInstance(
   query::Evaluator enc_eval(encoded.store());
   datalog::RdfDatalogTranslation xlat =
       datalog::TranslateGraph(graph, rg.vocab);
-  Result<datalog::Database> db =
-      datalog::Materialize(xlat.program, datalog::Strategy::kSemiNaive);
+  Result<datalog::Database> db = datalog::MaterializeTranslation(xlat);
   if (!db.ok()) {
     return fail("Datalog materialization failed: " + db.status().ToString());
   }

@@ -54,7 +54,7 @@ TEST_F(IntegrationTest, AllFourStrategiesAgreeOnStandardQueries) {
                                                     schema, data.vocab);
   datalog::RdfDatalogTranslation xlat =
       datalog::TranslateGraph(data.graph, data.vocab);
-  auto db = datalog::Materialize(xlat.program, datalog::Strategy::kSemiNaive);
+  auto db = datalog::MaterializeTranslation(xlat);
   ASSERT_TRUE(db.ok());
 
   for (const workload::NamedQuery& nq :

@@ -96,7 +96,7 @@ TEST_F(ModifiersTest, AskReportsBooleanInEveryRoute) {
 
   // Datalog route.
   datalog::RdfDatalogTranslation xlat = datalog::TranslateGraph(g_, v_);
-  auto db = datalog::Materialize(xlat.program, datalog::Strategy::kSemiNaive);
+  auto db = datalog::MaterializeTranslation(xlat);
   ASSERT_TRUE(db.ok());
   auto via_dl = datalog::AnswerViaDatalog(xlat, *db, yes);
   ASSERT_TRUE(via_dl.ok());

@@ -353,6 +353,111 @@ TEST(SnapshotStoreTest, PlanCacheHitsWithinEpoch) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
+// Datalog-mode readers intern fresh query constants (Prepare, under the
+// side's prepare lock) while the writer stores triples with new IRI and
+// literal objects (the write path, which extends the translation's
+// literal flags). Execute reads only the flags and the store, never the
+// dictionary, so this stays race-free; every probe answer must equal its
+// epoch's closure.
+TEST(SnapshotStoreTest, DatalogReadersWithFreshConstantsDuringWrites) {
+  constexpr int kReaders = 4;
+  constexpr int kBatches = 24;
+  store::ReasoningStoreOptions options;
+  options.mode = store::ReasoningMode::kSaturation;
+  SnapshotStore store(options);
+  ASSERT_TRUE(store
+                  .LoadTurtle("@prefix rdfs: "
+                              "<http://www.w3.org/2000/01/rdf-schema#> .\n"
+                              "@prefix ex: <http://ex.org/> .\n"
+                              "ex:knows rdfs:range ex:Person .\n"
+                              "ex:label rdfs:range ex:Thing .\n"
+                              "ex:Person rdfs:subClassOf ex:Agent .\n")
+                  .ok());
+  // Epoch 1 is the load; epoch 1 + b has batches 0..b-1 applied.
+  auto batch = [](int b) {
+    const std::string n = std::to_string(b);
+    return std::string(kPrefixes) + "INSERT DATA { ex:i" + n +
+           " ex:knows ex:j" + n + " . ex:i" + n + " ex:label \"label " + n +
+           "\" }";
+  };
+  auto agents = [](uint64_t epoch) {
+    AnswerSet out;
+    for (uint64_t b = 0; b + 1 < epoch; ++b) {
+      out.insert({"<http://ex.org/j" + std::to_string(b) + ">"});
+    }
+    return out;
+  };
+  const std::string agent_query =
+      std::string(kPrefixes) + "SELECT ?x WHERE { ?x rdf:type ex:Agent }";
+  const std::string thing_query =
+      std::string(kPrefixes) + "SELECT ?x WHERE { ?x rdf:type ex:Thing }";
+
+  std::atomic<bool> writer_done{false};
+  std::vector<std::string> errors(kReaders);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      store::ReadOptions ropts;
+      ropts.mode = store::ReasoningMode::kDatalog;
+      SnapshotStore::PlanCache cache(4);
+      std::ostringstream error;
+      bool final_pass = false;
+      for (int k = 0; error.str().empty(); ++k) {
+        const bool done = writer_done.load(std::memory_order_acquire);
+        // Fresh constants: an IRI and a literal no triple mentions.
+        const std::string tag = std::to_string(r) + "_" + std::to_string(k);
+        for (const std::string& fresh :
+             {std::string(kPrefixes) + "SELECT ?x WHERE { ex:fresh" + tag +
+                  " ex:knows ?x }",
+              std::string(kPrefixes) + "SELECT ?x WHERE { ?x ex:label \"fresh " +
+                  tag + "\" }"}) {
+          auto result = store.Query(fresh, ropts);
+          if (!result.ok() || result.value().row_count != 0) {
+            error << "fresh-constant query: "
+                  << (result.ok() ? "unexpected rows"
+                                  : result.status().ToString());
+          }
+        }
+        auto result = store.Query(agent_query, ropts, &cache);
+        auto things = store.Query(thing_query, ropts, &cache);
+        if (!result.ok() || !things.ok()) {
+          error << "probe failed";
+          break;
+        }
+        const AnswerSet want = agents(result.value().epoch);
+        const AnswerSet got = Sorted(result.value().rows);
+        if (got != want) {
+          error << "epoch " << result.value().epoch << " agents\nexpected:\n"
+                << Render(want) << "got:\n"
+                << Render(got);
+        }
+        if (things.value().row_count != 0) {
+          error << "a literal was typed:\n"
+                << Render(Sorted(things.value().rows));
+        }
+        if (final_pass) break;
+        if (done) final_pass = true;
+      }
+      errors[static_cast<size_t>(r)] = error.str();
+    });
+  }
+  threads.emplace_back([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      auto applied = store.Update(batch(b));
+      EXPECT_TRUE(applied.ok()) << applied.status();
+      std::this_thread::yield();
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(store.epoch(), static_cast<uint64_t>(kBatches) + 1);
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_TRUE(errors[static_cast<size_t>(r)].empty())
+        << "reader " << r << ": " << errors[static_cast<size_t>(r)];
+  }
+}
+
 // --- Compaction fault injection (epoch pins vs. flat-store merges) -------
 
 // An epoch pin must defer the flat backend's LSM merge exactly like an

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "io/ntriples.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace wdr::store {
@@ -323,6 +324,82 @@ TEST(ReasoningStoreTest, EncodingWorksAcrossModes) {
   EXPECT_EQ(Answers(store, kMammalQuery), 2u);
   store.SetMode(ReasoningMode::kReformulation);
   EXPECT_EQ(Answers(store, kMammalQuery), 2u);
+}
+
+// The Datalog translation reads the store: across data-only writes it is
+// kept (the translate histogram does not move) and its answers track
+// saturation's, new terms included; a schema write, or an encoding
+// rebuild, re-translates exactly once.
+TEST(ReasoningStoreTest, DatalogTranslationSurvivesDataWrites) {
+  ReasoningStoreOptions sat_options;
+  sat_options.mode = ReasoningMode::kSaturation;
+  sat_options.encoding = false;
+  ReasoningStore sat_store(sat_options);
+  ReasoningStoreOptions dl_options;
+  dl_options.mode = ReasoningMode::kDatalog;
+  dl_options.encoding = false;
+  ReasoningStore dl_store(dl_options);
+  ASSERT_TRUE(sat_store.LoadTurtle(kData).ok());
+  ASSERT_TRUE(dl_store.LoadTurtle(kData).ok());
+
+  auto answers = [](ReasoningStore& store, const char* sparql) {
+    auto result = store.Query(sparql);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? test::Rows(store.graph(), *result)
+                       : std::set<std::vector<std::string>>{};
+  };
+  auto agree = [&](const std::string& context) {
+    for (const char* q : {kMammalQuery, kAnimalQuery}) {
+      EXPECT_EQ(answers(dl_store, q), answers(sat_store, q)) << context;
+    }
+  };
+  obs::Histogram& translate =
+      obs::MetricsRegistry::Get().GetHistogram("wdr.store.datalog.translate");
+  agree("after load");
+  const uint64_t translations = translate.count();
+
+  // hasPet's range types new IRI objects (they need the resource flags
+  // the write adds); the writes also store new literals.
+  Rng rng(16);
+  for (int step = 0; step < 24; ++step) {
+    const int k = static_cast<int>(rng.Uniform(0, 7));
+    std::string triples;
+    switch (rng.Uniform(0, 2)) {
+      case 0:
+        triples = "<http://ex.org/anne> <http://ex.org/hasPet> "
+                  "<http://ex.org/pet" + std::to_string(k) + ">";
+        break;
+      case 1:
+        triples = "<http://ex.org/anne> <http://ex.org/name> \"pet" +
+                  std::to_string(k) + "\"";
+        break;
+      default:
+        triples = "<http://ex.org/cat" + std::to_string(k) +
+                  "> a <http://ex.org/Cat>";
+        break;
+    }
+    const std::string update = rng.Chance(0.7)
+                                   ? "INSERT DATA { " + triples + " }"
+                                   : "DELETE DATA { " + triples + " }";
+    ASSERT_TRUE(sat_store.Update(update).ok()) << update;
+    ASSERT_TRUE(dl_store.Update(update).ok()) << update;
+    agree("step " + std::to_string(step) + ": " + update);
+    EXPECT_EQ(translate.count(), translations) << "step " << step;
+  }
+
+  const std::string schema_write =
+      "PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+      "PREFIX ex: <http://ex.org/>\n"
+      "INSERT DATA { ex:Dog rdfs:subClassOf ex:Mammal . ex:rex a ex:Dog }";
+  ASSERT_TRUE(sat_store.Update(schema_write).ok());
+  ASSERT_TRUE(dl_store.Update(schema_write).ok());
+  agree("after the schema write");
+  EXPECT_EQ(translate.count(), translations + 1);
+
+  dl_store.SetEncoding(true);
+  agree("after the encoding rebuild");
+  ASSERT_NE(dl_store.encoding(), nullptr);
+  EXPECT_EQ(translate.count(), translations + 2);
 }
 
 TEST(UpdateParserTest, ParsesInsertAndDelete) {
