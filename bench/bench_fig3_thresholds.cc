@@ -22,14 +22,11 @@
 // dataset; WDR_FIG3_THREADS (default 1) runs saturation and closure
 // maintenance with the parallel saturator, shifting the amortization
 // points the same way a parallel deployment would see them;
-// WDR_FIG3_QUERY_THREADS (default 1) evaluates the union branches of the
-// reformulated queries in parallel (with the cross-branch scan cache),
-// which speeds up the reformulation side and therefore RAISES the
-// saturation thresholds — the headline numbers move when the
-// reformulation engine gets faster; WDR_FIG3_ENCODING=1 answers the
-// reformulation side through the hierarchy-aware id encoding (subclass/
-// subproperty unions collapse into range atoms), another way the
-// reformulation column speeds up and the thresholds shift.
+// WDR_FIG3_ENCODING=1 answers the reformulation side through the
+// hierarchy-aware id encoding (subclass/subproperty unions collapse into
+// range atoms), which speeds up the reformulation side and therefore
+// RAISES the saturation thresholds — the headline numbers move when the
+// reformulation engine gets faster.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -74,16 +71,15 @@ int main(int argc, char** argv) {
 
   wdr::analysis::MeasureOptions measure_options;
   measure_options.saturation.threads = EnvInt("WDR_FIG3_THREADS", 1);
-  measure_options.query.threads = EnvInt("WDR_FIG3_QUERY_THREADS", 1);
   measure_options.encoding = EnvInt("WDR_FIG3_ENCODING", 0) != 0;
 
   std::printf(
       "=== Fig. 3 — saturation thresholds ===\n"
       "dataset: %s triples (%zu schema), %d universities, "
-      "%d saturation thread(s), %d query thread(s), encoding %s\n\n",
+      "%d saturation thread(s), encoding %s\n\n",
       wdr::FormatWithCommas(static_cast<long long>(data.graph.size())).c_str(),
       data.ontology_triples, config.universities,
-      measure_options.saturation.threads, measure_options.query.threads,
+      measure_options.saturation.threads,
       measure_options.encoding ? "on" : "off");
 
   wdr::Rng rng(20150413);  // ICDE'15 opening day

@@ -2,13 +2,8 @@
 // evaluation [of reformulated queries] remains challenging" (§II-B):
 //   - greedy bound-first join ordering vs. the query's written atom order
 //     (reformulated unions multiply whatever the per-CQ join costs);
-//   - sequential vs. branch-parallel union evaluation, with the
-//     cross-branch scan-signature cache on/off, on a real reformulated
-//     workload (Q6's 36-CQ union).
+//   - union evaluation on a real reformulated workload (Q6's 36-CQ union).
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <limits>
 
 #include "bench_util.h"
 
@@ -118,11 +113,9 @@ void BM_WrittenJoinOrderQ10(benchmark::State& state) {
 BENCHMARK(BM_GreedyJoinOrderQ10)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_WrittenJoinOrderQ10)->Unit(benchmark::kMicrosecond);
 
-// Reformulated-union evaluation: sequential vs. parallel branches, scan
-// cache on/off. Q6 (Faculty ⋈ teacherOf ⋈ Course) reformulates into a
-// 36-CQ grid whose branches share leading scans and re-issue the same
-// bound probes — the workload the scan-signature cache targets. Evaluated
-// over the BASE graph (that is the reformulation technique: q_ref on G).
+// Reformulated-union evaluation: Q6 (Faculty ⋈ teacherOf ⋈ Course)
+// reformulates into a 36-CQ grid of overlapping branches, evaluated over
+// the BASE graph (that is the reformulation technique: q_ref on G).
 struct ReformulationFixture {
   wdr::workload::UniversityData data;
   wdr::query::UnionQuery q6_ref;
@@ -147,56 +140,18 @@ ReformulationFixture& SharedReformulationFixture() {
   return *fixture;
 }
 
-// Arg 0: branch worker threads; arg 1: scan cache on/off. The `speedup`
-// counter compares this configuration against sequential/no-cache through
-// the same TimeReps harness, using per-rep minima — on a time-shared
-// single-core container the minimum is the repeatable statistic; means
-// absorb scheduler noise. The cache dimension is algorithmic (fewer live
-// cursor scans, memoized ordering estimates) and shows up at any core
-// count; the thread dimension adds worker-level dedup on top (each
-// worker's seen-set spans its branches, so overlapping disjuncts build
-// their shared rows once per worker), which is why threads:8/cache:1
-// clears the sequential cached configuration even when all eight workers
-// time-share one core.
 void BM_ReformulatedUnionQ6(benchmark::State& state) {
   ReformulationFixture& f = SharedReformulationFixture();
-  wdr::query::Evaluator::Options options;
-  options.threads = static_cast<int>(state.range(0));
-  options.scan_cache = state.range(1) != 0;
-  wdr::query::Evaluator evaluator(f.data.graph.store(), options);
-
-  wdr::query::Evaluator::Options baseline_options;
-  baseline_options.scan_cache = false;
-  wdr::query::Evaluator baseline(f.data.graph.store(), baseline_options);
-
+  wdr::query::Evaluator evaluator(f.data.graph.store());
   size_t answers = 0;
   for (auto _ : state) {
     answers = evaluator.Evaluate(f.q6_ref).rows.size();
     benchmark::DoNotOptimize(answers);
   }
-  // Alternate baseline and configuration blocks so slow phases of the
-  // machine hit both sides, then compare the overall minima.
-  double seq_min_us = std::numeric_limits<double>::infinity();
-  double cfg_min_us = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < 4; ++round) {
-    wdr::bench::RepStats seq = wdr::bench::TimeReps(1, 10, [&] {
-      benchmark::DoNotOptimize(baseline.Evaluate(f.q6_ref).rows.size());
-    });
-    wdr::bench::RepStats cfg = wdr::bench::TimeReps(1, 10, [&] {
-      benchmark::DoNotOptimize(evaluator.Evaluate(f.q6_ref).rows.size());
-    });
-    seq_min_us = std::min(seq_min_us, seq.min_us);
-    cfg_min_us = std::min(cfg_min_us, cfg.min_us);
-  }
   state.counters["answers"] = static_cast<double>(answers);
   state.counters["CQs"] = static_cast<double>(f.q6_ref.size());
-  state.counters["seq_nocache_ms"] = seq_min_us / 1e3;
-  state.counters["speedup"] = seq_min_us / cfg_min_us;
 }
-BENCHMARK(BM_ReformulatedUnionQ6)
-    ->ArgsProduct({{1, 2, 8}, {0, 1}})
-    ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"threads", "cache"});
+BENCHMARK(BM_ReformulatedUnionQ6)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

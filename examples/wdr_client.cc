@@ -13,7 +13,7 @@
 //   .set k=v [k=v ...]    session settings: mode=saturation|reformulation|
 //                         backward|datalog|auto|none|default,
 //                         plan=0|1|default, encoding=0|1|default,
-//                         threads=N, timeout_ms=N
+//                         timeout_ms=N
 //   .info                 server/session info (epoch, size, plan cache,
 //                         auto-mode routing counters)
 //   .why                  last auto-mode routing decision (sent as WHY)

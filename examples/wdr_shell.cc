@@ -3,7 +3,7 @@
 //
 // Usage:
 //   wdr_shell [--mode=saturation|reformulation|backward|datalog|none|auto]
-//             [--threads=N] [--query-threads=N] [--plan]
+//             [--threads=N] [--plan]
 //             [--encoding=on|off] [--explain]
 //             [--script=FILE] [--serve=PORT] [--listen=PORT] [file.ttl ...]
 //
@@ -20,7 +20,6 @@
 //   .why                last auto-mode routing decision with its per-route
 //                       cost estimates
 //   .threads N          saturation worker threads for closure builds
-//   .qthreads N         worker threads for union-query branches
 //   .plan on|off        cost-based physical plans (hash joins, batching)
 //   .encoding on|off    hierarchy-aware id encoding (LiteMat): collapse
 //                       reformulation unions into range scans
@@ -121,7 +120,6 @@ void PrintHelp() {
                "  .why                  last auto-mode routing decision "
                "(estimates per route)\n"
                "  .threads N            saturation worker threads (N >= 1)\n"
-               "  .qthreads N           union-branch query threads (N >= 1)\n"
                "  .plan on|off          cost-based physical plans (hash "
                "joins)\n"
                "  .encoding on|off      hierarchy-aware id encoding "
@@ -219,7 +217,6 @@ bool StartListen(const ReasoningStore& store, int port) {
   wdr::store::ReasoningStoreOptions options;
   options.mode = store.mode();
   options.query.plan = store.plan_mode();
-  options.query.threads = store.query_threads();
   options.saturation.threads = store.saturation_threads();
   options.encoding = store.encoding_enabled();
   g_snapshot_store =
@@ -345,17 +342,6 @@ bool RunCommand(ReasoningStore& store, const std::string& line) {
         return true;
       }
       std::cerr << "usage: .threads N (N >= 1)\n";
-      return false;
-    }
-    if (command == ".qthreads") {
-      char* end = nullptr;
-      const long threads = std::strtol(argument.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0' && threads >= 1) {
-        store.SetQueryThreads(static_cast<int>(threads));
-        std::cout << "query threads = " << store.query_threads() << "\n";
-        return true;
-      }
-      std::cerr << "usage: .qthreads N (N >= 1)\n";
       return false;
     }
     if (command == ".plan") {
@@ -537,7 +523,6 @@ void RunDemo(ReasoningStore& store) {
       "SELECT ?x WHERE { ?x rdf:type ex:Mammal }",
       ".encoding off",
       ".threads 2",
-      ".qthreads 2",
       ".mode saturation",
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
       "PREFIX ex: <http://ex.org/> "
@@ -589,13 +574,6 @@ int main(int argc, char** argv) {
         return EXIT_FAILURE;
       }
       options.saturation.threads = threads;
-    } else if (arg.rfind("--query-threads=", 0) == 0) {
-      int threads = std::atoi(arg.substr(16).c_str());
-      if (threads < 1) {
-        std::cerr << "invalid thread count in " << arg << "\n";
-        return EXIT_FAILURE;
-      }
-      options.query.threads = threads;
     } else if (arg == "--plan") {
       options.query.plan = true;
     } else if (arg.rfind("--encoding=", 0) == 0) {

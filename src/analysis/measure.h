@@ -31,13 +31,9 @@ struct MeasureOptions {
   reasoning::SaturationOptions saturation;
   // Applied to both evaluations being compared (q over G∞ and q_ref over
   // G), so the thresholds reflect the deployment's query configuration.
-  // Branch-parallel evaluation and the scan cache speed up the
-  // reformulated side far more than the saturated side (large unions vs.
-  // single BGPs), raising the measured saturation thresholds. The plan
-  // knob (EvaluatorOptions::plan) rides along too: with it on, both sides
-  // are measured under cost-based physical plans (statistics are built
-  // per evaluation — leave `stats` null; the graphs being measured are
-  // snapshots).
+  // With EvaluatorOptions::plan on, both sides are measured under
+  // cost-based physical plans (statistics are built per evaluation —
+  // leave `stats` null; the graphs being measured are snapshots).
   query::EvaluatorOptions query;
   // Measure the reformulated side under the hierarchy-aware id encoding
   // (rdf/hier_encoding.h): a snapshot of the graph is re-encoded so that

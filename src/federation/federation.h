@@ -89,14 +89,6 @@ class Federation {
   // Total triples across endpoints (duplicates counted per endpoint).
   size_t size() const;
 
-  // Worker threads for the branches of the reformulated union (values < 1
-  // clamp to 1); see EvaluatorOptions::threads. Answers are identical at
-  // any thread count.
-  void SetQueryThreads(int threads) {
-    query_options_.threads = threads < 1 ? 1 : threads;
-  }
-  int query_threads() const { return query_options_.threads; }
-
   // Toggles plan-based evaluation of the reformulated union: branches
   // compile into the shared wdr::exec physical-plan IR with cost-based
   // join order and hash joins. Statistics are built once per query over

@@ -62,8 +62,6 @@ std::string QueryLogRecord::ToJsonLine() const {
          (via_auto ? "true" : "false") +
          ",\"est_rows\":" + std::to_string(est_rows) +
          ",\"rows\":" + std::to_string(rows) +
-         ",\"scan_cache_hits\":" + std::to_string(scan_cache_hits) +
-         ",\"scan_cache_misses\":" + std::to_string(scan_cache_misses) +
          ",\"wall_nanos\":" + std::to_string(wall_nanos) + ",\"slow\":";
   out += slow ? "true" : "false";
   out += ",\"ok\":";

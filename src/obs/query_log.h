@@ -57,10 +57,6 @@ struct QueryLogRecord {
   int64_t est_rows = -1;
   uint64_t rows = 0;
 
-  // Cross-branch scan-cache effectiveness for this query's union.
-  uint64_t scan_cache_hits = 0;
-  uint64_t scan_cache_misses = 0;
-
   uint64_t wall_nanos = 0;  // end-to-end, parse included
   // Stamped by Append: wall_nanos >= the slow-query threshold.
   bool slow = false;

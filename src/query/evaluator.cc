@@ -3,15 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "exec/executor.h"
@@ -25,9 +18,7 @@ namespace wdr::query {
 namespace {
 
 using rdf::kNullTermId;
-using rdf::StoreView;
 using rdf::Triple;
-using rdf::UnionStore;
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -39,9 +30,7 @@ uint64_t NowNanos() {
 // Cooperative-cancellation probe built from EvaluatorOptions::cancel /
 // deadline_nanos. The flag costs one relaxed load per probe; the deadline
 // clock is only read every kClockStride probes (a syscall-adjacent clock
-// read per enumerated triple would dominate small scans). Each evaluation
-// thread carries its own probe by value so the stride counter is never
-// shared; the underlying atomic flag is what coordinates across threads.
+// read per enumerated triple would dominate small scans).
 class CancelProbe {
  public:
   CancelProbe() = default;
@@ -70,15 +59,6 @@ class CancelProbe {
   bool expired_ = false;
 };
 
-// Lowers `target` to `value` if smaller (atomic fetch-min).
-void AtomicMin(std::atomic<size_t>& target, size_t value) {
-  size_t current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 // Per-atom operator statistics gathered during a profiled join. Indexed by
 // atom position in the query, not by join order, so the profile tree reads
 // in the order the query was written. Timing is one interval per atom
@@ -87,200 +67,10 @@ void AtomicMin(std::atomic<size_t>& target, size_t value) {
 // of every operator nested under it, so a parent's time is never smaller
 // than a child's.
 struct AtomStats {
-  uint64_t scans = 0;    // live cursor opens (scan-cache replays open none)
-  uint64_t triples = 0;  // triples enumerated (from the store or the cache)
+  uint64_t scans = 0;    // cursor opens
+  uint64_t triples = 0;  // triples enumerated
   uint64_t rows = 0;     // bindings successfully extended
   uint64_t nanos = 0;    // inclusive: contains nested operators' time
-};
-
-// Cross-branch scan-signature cache, shared by every branch of one union
-// evaluation (and by every worker when the branches run in parallel).
-// Reformulated UCQs are grids of structurally similar BGPs, so the same
-// resolved (s,p,o) scans — leading atoms shared verbatim between branches,
-// and fully-ground or bound inner probes re-resolved to the same ids —
-// recur dozens of times; the cache replays a completed scan as a flat
-// vector instead of re-opening store cursors. Replayed sequences are the
-// exact triple order the live cursor produced, so answers are bit-identical
-// with the cache on or off.
-//
-// Concurrency: lookups take a shared lock, insertions a unique lock.
-// Entries are never erased while the evaluation runs, so replay pointers
-// stay valid after the lock is released (values are heap vectors behind
-// stable unique_ptrs). Two workers missing the same signature may both
-// materialize it; the first insert wins and the duplicate is dropped.
-class ScanCache {
- public:
-  // Per-signature cap: scans longer than this are marked oversized and
-  // always stream live, so one unselective pattern cannot pin a large
-  // slice of the store.
-  static constexpr size_t kMaxCachedTriples = 1 << 16;
-  // Caps on distinct signatures and on total cached triples (inner atoms
-  // resolve against every outer binding, so the key space can be large).
-  static constexpr size_t kMaxEntries = 1 << 16;
-  static constexpr size_t kMaxTotalTriples = 1 << 22;
-
-  struct Lookup {
-    const std::vector<Triple>* triples = nullptr;  // replay on hit
-    bool oversized = false;  // known too big: stream live, skip the tee
-  };
-
-  Lookup Find(const Triple& key) {
-    {
-      std::shared_lock<std::shared_mutex> lock(mutex_);
-      auto it = map_.find(key);
-      if (it != map_.end()) {
-        if (it->second == nullptr) {
-          misses_.fetch_add(1, std::memory_order_relaxed);
-          return {nullptr, true};
-        }
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return {it->second.get(), false};
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return {nullptr, false};
-  }
-
-  // Records the completed scan for `key`, consuming `*triples` (the
-  // caller's tee buffer is moved from, not copied); `triples == nullptr`
-  // records an oversized marker instead. Returns the sequence now cached
-  // under `key` — the one just stored, or an earlier winner's identical
-  // copy — so the caller can replay it; nullptr when only a marker is (or
-  // could be) recorded, in which case the caller's buffer was not consumed.
-  const std::vector<Triple>* Insert(const Triple& key,
-                                    std::vector<Triple>* triples) {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (triples != nullptr &&
-        total_triples_ + triples->size() > kMaxTotalTriples) {
-      triples = nullptr;  // budget exhausted: degrade to a marker
-    }
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      if (map_.size() >= kMaxEntries) return nullptr;
-      it = map_.try_emplace(key).first;
-      if (triples != nullptr) {
-        total_triples_ += triples->size();
-        it->second =
-            std::make_unique<std::vector<Triple>>(std::move(*triples));
-      }
-    }
-    return it->second.get();
-  }
-
-  // Memoized greedy-ordering cardinality estimate for `key`, true on hit.
-  // The greedy pass re-estimates the same resolved pattern for every binding
-  // of every branch (e.g. (?y type C) once per outer ?x) — the memo makes
-  // each distinct estimate one probe per union evaluation. Estimates are
-  // deterministic store functions, so memoization cannot change the join
-  // order a branch picks.
-  bool FindEstimate(const Triple& key, size_t* count) {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = estimates_.find(key);
-    if (it == estimates_.end()) return false;
-    *count = it->second;
-    return true;
-  }
-
-  void InsertEstimate(const Triple& key, size_t count) {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (estimates_.size() >= kMaxEntries) return;
-    estimates_.emplace(key, count);
-  }
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
-  void FlushCounters() const {
-    WDR_COUNTER_ADD("wdr.query.scan_cache.hits", hits());
-    WDR_COUNTER_ADD("wdr.query.scan_cache.misses", misses());
-  }
-
- private:
-  std::shared_mutex mutex_;
-  std::unordered_map<Triple, std::unique_ptr<std::vector<Triple>>,
-                     rdf::TripleHash>
-      map_;
-  std::unordered_map<Triple, size_t, rdf::TripleHash> estimates_;
-  size_t total_triples_ = 0;  // guarded by mutex_
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-};
-
-// Lazily-built, process-wide pool of parked query workers. Branch-parallel
-// union evaluation is latency-sensitive — whole evaluations complete in
-// microseconds to milliseconds — and creating a handful of threads costs
-// ~100µs, an order of magnitude more than waking parked ones. The pool
-// grows to the largest worker count ever requested and parks its threads
-// between queries; threads live for the rest of the process (the singleton
-// is deliberately leaked so no destructor ever races a parked worker).
-// One dispatch runs at a time; concurrent dispatches from different
-// evaluator instances serialize on the dispatch mutex.
-class WorkerPool {
- public:
-  static WorkerPool& Get() {
-    static WorkerPool* pool = new WorkerPool();
-    return *pool;
-  }
-
-  // Runs job(id) for id in [1, extra] on pool threads while the calling
-  // thread runs job(0); returns when every invocation has finished.
-  // `job` must not re-enter Dispatch (a pool worker blocking on the
-  // dispatch mutex while its own dispatcher waits for it would deadlock).
-  void Dispatch(int extra, const std::function<void(int)>& job) {
-    if (extra <= 0) {
-      job(0);
-      return;
-    }
-    std::unique_lock<std::mutex> dispatch_lock(dispatch_mutex_);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      while (static_cast<int>(threads_.size()) < extra) {
-        const int id = static_cast<int>(threads_.size()) + 1;
-        threads_.emplace_back([this, id] { WorkerLoop(id); });
-      }
-      job_ = &job;
-      active_ = extra;
-      remaining_ = extra;
-      ++generation_;
-    }
-    work_ready_.notify_all();
-    job(0);  // the caller's share, concurrent with the pool workers
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return remaining_ == 0; });
-    job_ = nullptr;
-  }
-
- private:
-  WorkerPool() = default;
-
-  void WorkerLoop(int id) {
-    uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(int)>* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_ready_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (id > active_) continue;  // this round needs fewer workers
-        job = job_;
-      }
-      (*job)(id);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--remaining_ == 0) done_.notify_one();
-      }
-    }
-  }
-
-  std::mutex dispatch_mutex_;  // serializes whole dispatches
-  std::mutex mutex_;           // guards all state below
-  std::condition_variable work_ready_;
-  std::condition_variable done_;
-  std::vector<std::thread> threads_;
-  const std::function<void(int)>* job_ = nullptr;
-  int active_ = 0;
-  int remaining_ = 0;
-  uint64_t generation_ = 0;
 };
 
 // Resolves a pattern position under the current bindings: a constant, a
@@ -324,28 +114,12 @@ class BgpJoin {
   void Run(EmitFn&& emit) {
     remaining_.resize(q_.atoms().size());
     for (size_t i = 0; i < remaining_.size(); ++i) remaining_[i] = i;
-    // One tee buffer per join depth: a nested activation must not clobber
-    // the buffer its parent is still filling.
-    if (cache_ != nullptr) scratch_.resize(q_.atoms().size());
     Recurse(emit);
   }
 
   // Enables per-atom stats collection; `stats` must outlive Run() and have
   // one entry per query atom.
   void set_stats(std::vector<AtomStats>* stats) { stats_ = stats; }
-
-  // Shares `cache` (may be null) across this join's scans; see ScanCache.
-  // `eager` selects materialize-first misses: the scan is completed into
-  // the tee and published BEFORE its triples are processed, so concurrent
-  // branches hit the entry after one scan's latency instead of a whole
-  // subtree's, and even the publishing branch joins from the flat copy
-  // rather than a live cursor. Bounded queries (ASK / LIMIT) pass eager =
-  // false: they may stop mid-scan, and pre-reading a scan to completion
-  // would do work their early-cancellation exists to avoid.
-  void set_scan_cache(ScanCache* cache, bool eager = true) {
-    cache_ = cache;
-    eager_cache_ = eager;
-  }
 
   // Attaches a cooperative-cancellation probe (may be null); checked per
   // enumerated triple, so a cancelled join stops mid-scan. `probe` must
@@ -362,7 +136,6 @@ class BgpJoin {
       if (!internal_emit(emit)) stopped_ = true;
       return;
     }
-    const size_t depth = q_.atoms().size() - remaining_.size();
     // Pick the cheapest atom under current bindings (or the first
     // remaining one when greedy ordering is disabled). A single remaining
     // atom needs no cost-estimation pass: it is the choice either way, and
@@ -372,17 +145,15 @@ class BgpJoin {
       size_t best_cost = SIZE_MAX;
       for (size_t i = 0; i < remaining_.size(); ++i) {
         const TriplePattern& a = q_.atoms()[remaining_[i]];
-        // Range atoms bypass the Triple-keyed estimate memo: their key
-        // space is bound pairs, not points.
         size_t cost =
             HasRangeTerm(a)
                 ? store_.EstimateCountRange(rdf::PlanRangeScan(
                       ResolveRange(a.s, bindings_),
                       ResolveRange(a.p, bindings_),
                       ResolveRange(a.o, bindings_)))
-                : EstimateCost(Resolve(a.s, bindings_),
-                               Resolve(a.p, bindings_),
-                               Resolve(a.o, bindings_));
+                : store_.EstimateCount(Resolve(a.s, bindings_),
+                                       Resolve(a.p, bindings_),
+                                       Resolve(a.o, bindings_));
         if (cost < best_cost) {
           best_cost = cost;
           best_pos = i;
@@ -418,10 +189,8 @@ class BgpJoin {
       return !stopped_;
     };
     auto match = [&] {
+      if (as) ++as->scans;
       if (HasRangeTerm(atom)) {
-        // Range scans skip the scan cache (its Triple keys cannot carry
-        // range bounds); they are single contiguous index scans already.
-        if (as) ++as->scans;
         store_.MatchPlan(
             rdf::PlanRangeScan(ResolveRange(atom.s, bindings_),
                                ResolveRange(atom.p, bindings_),
@@ -429,8 +198,8 @@ class BgpJoin {
             process);
         return;
       }
-      Match(depth, Resolve(atom.s, bindings_), Resolve(atom.p, bindings_),
-            Resolve(atom.o, bindings_), as, process);
+      store_.Match(Resolve(atom.s, bindings_), Resolve(atom.p, bindings_),
+                   Resolve(atom.o, bindings_), process);
     };
     if (as) {
       const uint64_t start = NowNanos();
@@ -441,91 +210,6 @@ class BgpJoin {
     }
 
     remaining_.insert(remaining_.begin() + best_pos, atom_index);
-  }
-
-  // One cardinality estimate for the greedy ordering pass, memoized in
-  // the shared cache when one is attached (a cached scan's length is the
-  // exact count, which the estimate approximates — but the memo stores
-  // the store's own estimate so ordering is identical with and without
-  // the cache).
-  size_t EstimateCost(TermId s, TermId p, TermId o) {
-    if (cache_ == nullptr || (s | p | o) == 0) {
-      return store_.EstimateCount(s, p, o);
-    }
-    const Triple key(s, p, o);
-    size_t cost = 0;
-    if (cache_->FindEstimate(key, &cost)) return cost;
-    cost = store_.EstimateCount(s, p, o);
-    cache_->InsertEstimate(key, cost);
-    return cost;
-  }
-
-  // One pattern scan, through the shared scan cache when one is attached:
-  // replay a memoized sequence, or tee the live scan into a depth-local
-  // buffer and memoize it if it ran to completion within the size cap.
-  template <typename ProcessFn>
-  void Match(size_t depth, TermId s, TermId p, TermId o, AtomStats* as,
-             ProcessFn&& process) {
-    if (cache_ == nullptr || (s | p | o) == 0) {
-      if (as) ++as->scans;
-      store_.Match(s, p, o, process);
-      return;
-    }
-    const Triple key(s, p, o);
-    const ScanCache::Lookup found = cache_->Find(key);
-    if (found.triples != nullptr) {
-      for (const Triple& t : *found.triples) {
-        if (!process(t)) return;
-      }
-      return;
-    }
-    if (as) ++as->scans;
-    if (found.oversized) {
-      store_.Match(s, p, o, process);
-      return;
-    }
-    std::vector<Triple>& tee = scratch_[depth];
-    tee.clear();
-    if (eager_cache_) {
-      // Materialize-first: read the whole scan, publish, then process the
-      // flat copy (the winner's copy on an insert race — identical bytes).
-      bool oversized = false;
-      store_.Match(s, p, o, [&](const Triple& t) {
-        if (tee.size() >= ScanCache::kMaxCachedTriples) {
-          oversized = true;
-          return false;
-        }
-        tee.push_back(t);
-        return true;
-      });
-      if (oversized) {
-        cache_->Insert(key, nullptr);  // marker: always stream live
-        store_.Match(s, p, o, process);
-        return;
-      }
-      const std::vector<Triple>* stored = cache_->Insert(key, &tee);
-      for (const Triple& t : stored != nullptr ? *stored : tee) {
-        if (!process(t)) return;
-      }
-      return;
-    }
-    // Lazy: tee alongside processing so an early stop aborts the scan too.
-    bool completed = true;
-    bool oversized = false;
-    store_.Match(s, p, o, [&](const Triple& t) {
-      if (!oversized) {
-        if (tee.size() < ScanCache::kMaxCachedTriples) {
-          tee.push_back(t);
-        } else {
-          oversized = true;
-        }
-      }
-      const bool keep_going = process(t);
-      // An early-stopped scan is a prefix, not the sequence: uncacheable.
-      if (!keep_going) completed = false;
-      return keep_going;
-    });
-    if (completed) cache_->Insert(key, oversized ? nullptr : &tee);
   }
 
   // Adapts emit callbacks returning void (never stop) or bool.
@@ -562,9 +246,6 @@ class BgpJoin {
   std::vector<size_t> remaining_;
   std::vector<AtomStats>* stats_ = nullptr;  // not owned; null = no profiling
   CancelProbe* cancel_probe_ = nullptr;      // not owned; null = no deadline
-  ScanCache* cache_ = nullptr;               // not owned; null = no caching
-  bool eager_cache_ = true;                  // see set_scan_cache
-  std::vector<std::vector<Triple>> scratch_;  // per-depth tee buffers
 };
 
 // Short human label for a term: the IRI fragment / last path segment, or
@@ -617,154 +298,6 @@ void FillAtomProfile(obs::ProfileNode& parent, const BgpQuery& q,
 // (EvaluatorOptions::plan = false, the default) for differential testing.
 // ---------------------------------------------------------------------------
 
-// TupleSource over a triple-store-shaped Store, routed through the union
-// evaluation's ScanCache when one is attached: resolved (s,p,o) scans are
-// replayed from the memoized flat vectors exactly as the legacy join's
-// Match does (same keys, same eager/lazy split, same oversized markers),
-// and cardinality estimates reuse the memo. One instance serves one
-// single-threaded executor; parallel workers construct their own (the
-// underlying ScanCache itself is the thread-safe shared layer).
-template <typename Store>
-class CachedStoreSource final : public exec::TupleSource {
- public:
-  CachedStoreSource(const Store& store, ScanCache* cache, bool eager)
-      : store_(&store), cache_(cache), eager_(eager) {}
-
-  size_t arity() const override { return 3; }
-
-  double EstimateBound(const exec::Value* values,
-                       const uint8_t* bound) const override {
-    const TermId s = bound[0] ? values[0] : kNullTermId;
-    const TermId p = bound[1] ? values[1] : kNullTermId;
-    const TermId o = bound[2] ? values[2] : kNullTermId;
-    if (cache_ == nullptr || (s | p | o) == 0) {
-      return static_cast<double>(store_->EstimateCount(s, p, o));
-    }
-    const Triple key(s, p, o);
-    size_t count = 0;
-    if (cache_->FindEstimate(key, &count)) return static_cast<double>(count);
-    count = store_->EstimateCount(s, p, o);
-    cache_->InsertEstimate(key, count);
-    return static_cast<double>(count);
-  }
-
-  bool Scan(const exec::Value* values, const uint8_t* bound,
-            exec::FunctionRef<bool(const exec::Value*)> fn) const override {
-    const TermId s = bound[0] ? values[0] : kNullTermId;
-    const TermId p = bound[1] ? values[1] : kNullTermId;
-    const TermId o = bound[2] ? values[2] : kNullTermId;
-    bool keep = true;
-    auto process = [&](const Triple& t) {
-      exec::Value row[3] = {t.s, t.p, t.o};
-      keep = fn(row);
-      return keep;
-    };
-    if (cache_ == nullptr || (s | p | o) == 0) {
-      store_->Match(s, p, o, process);
-      return keep;
-    }
-    const Triple key(s, p, o);
-    const ScanCache::Lookup found = cache_->Find(key);
-    if (found.triples != nullptr) {
-      for (const Triple& t : *found.triples) {
-        if (!process(t)) return keep;
-      }
-      return keep;
-    }
-    if (found.oversized) {
-      store_->Match(s, p, o, process);
-      return keep;
-    }
-    // Pipelined operators nest scans (an outer scan callback drives inner
-    // probes), so tee buffers are a per-activation stack, not one scratch.
-    if (depth_ >= pool_.size()) pool_.emplace_back();
-    std::vector<Triple>& tee = pool_[depth_++];
-    tee.clear();
-    if (eager_) {
-      bool oversized = false;
-      store_->Match(s, p, o, [&](const Triple& t) {
-        if (tee.size() >= ScanCache::kMaxCachedTriples) {
-          oversized = true;
-          return false;
-        }
-        tee.push_back(t);
-        return true;
-      });
-      if (oversized) {
-        cache_->Insert(key, nullptr);
-        store_->Match(s, p, o, process);
-      } else {
-        const std::vector<Triple>* stored = cache_->Insert(key, &tee);
-        for (const Triple& t : stored != nullptr ? *stored : tee) {
-          if (!process(t)) break;
-        }
-      }
-    } else {
-      bool completed = true;
-      bool oversized = false;
-      store_->Match(s, p, o, [&](const Triple& t) {
-        if (!oversized) {
-          if (tee.size() < ScanCache::kMaxCachedTriples) {
-            tee.push_back(t);
-          } else {
-            oversized = true;
-          }
-        }
-        const bool keep_going = process(t);
-        if (!keep_going) completed = false;
-        return keep_going;
-      });
-      if (completed) cache_->Insert(key, oversized ? nullptr : &tee);
-    }
-    --depth_;
-    return keep;
-  }
-
-  // Range scans bypass the ScanCache entirely (its Triple keys cannot
-  // carry interval bounds) and go straight to the store's range window.
-  double EstimateRange(const exec::Value* values, const exec::Value* values_hi,
-                       const uint8_t* bound) const override {
-    return static_cast<double>(
-        store_->EstimateCountRange(RangePlan(values, values_hi, bound)));
-  }
-
-  bool ScanRange(const exec::Value* values, const exec::Value* values_hi,
-                 const uint8_t* bound,
-                 exec::FunctionRef<bool(const exec::Value*)> fn)
-      const override {
-    bool keep = true;
-    store_->MatchPlan(RangePlan(values, values_hi, bound),
-                      [&](const Triple& t) {
-                        exec::Value row[3] = {t.s, t.p, t.o};
-                        keep = fn(row);
-                        return keep;
-                      });
-    return keep;
-  }
-
- private:
-  static rdf::ScanPlan RangePlan(const exec::Value* values,
-                                 const exec::Value* values_hi,
-                                 const uint8_t* bound) {
-    auto range = [&](size_t i) {
-      if (bound[i] == exec::TupleSource::kPoint) {
-        return rdf::TermRange::Point(values[i]);
-      }
-      if (bound[i] == exec::TupleSource::kRange) {
-        return rdf::TermRange{values[i], values_hi[i]};
-      }
-      return rdf::TermRange::Any();
-    };
-    return rdf::PlanRangeScan(range(0), range(1), range(2));
-  }
-
-  const Store* store_;  // not owned
-  ScanCache* cache_;    // not owned; null = no caching
-  bool eager_;
-  mutable std::vector<std::vector<Triple>> pool_;  // per-nesting tee buffers
-  mutable size_t depth_ = 0;
-};
-
 exec::ConjunctiveSpec SpecFromBgp(const BgpQuery& q,
                                   const rdf::Dictionary* dict) {
   exec::ConjunctiveSpec spec;
@@ -793,11 +326,14 @@ exec::ConjunctiveSpec SpecFromBgp(const BgpQuery& q,
 // (order + join algorithm from per-predicate statistics); null degrades
 // to the greedy bound-first order over the store's own estimates with
 // nested loops only — the fallback for empty or stale statistics.
+// `distinct` adds the plan's own HashDedup operator on top.
 template <typename Store>
 exec::CompiledPlan PlanBgpBranch(const Store& store, const BgpQuery& q,
                                  const EvaluatorOptions& options,
-                                 const exec::Statistics* stats) {
-  const exec::ConjunctiveSpec spec = SpecFromBgp(q, options.dict);
+                                 const exec::Statistics* stats,
+                                 bool distinct = false) {
+  exec::ConjunctiveSpec spec = SpecFromBgp(q, options.dict);
+  spec.distinct = distinct;
   exec::PlannerOptions popts;
   popts.hash_joins = options.hash_joins;
   std::optional<exec::StatisticsEstimator> stats_est;
@@ -849,10 +385,10 @@ size_t ReserveHint(double est_rows) {
 // receives the operator tree with estimated vs. actual cardinalities.
 template <typename Store, typename EmitFn>
 void ExecutePlannedBranch(const Store& store, const exec::CompiledPlan& plan,
-                          const EvaluatorOptions& options, ScanCache* cache,
-                          bool eager, obs::ProfileNode* profile, Row& scratch,
+                          const EvaluatorOptions& options,
+                          obs::ProfileNode* profile, Row& scratch,
                           EmitFn&& emit) {
-  CachedStoreSource<Store> source(store, cache, eager);
+  exec::StoreSource<Store> source(store);
   const std::vector<const exec::TupleSource*> sources = {&source};
   exec::ExecOptions eopts;
   eopts.batch_rows = options.batch_rows;
@@ -906,16 +442,16 @@ ResultSet EvaluateBgp(const Store& store, const BgpQuery& q,
       if (q.distinct()) {
         std::unordered_set<Row, RowHash> seen;
         seen.reserve(ReserveHint(plan.est_rows));
-        ExecutePlannedBranch(store, plan, options, /*cache=*/nullptr,
-                             /*eager=*/true, profile, scratch, [&](Row& row) {
+        ExecutePlannedBranch(store, plan, options, profile, scratch,
+                             [&](Row& row) {
                                if (seen.insert(row).second) {
                                  result.rows.push_back(row);
                                }
                                return !probe.Expired();
                              });
       } else {
-        ExecutePlannedBranch(store, plan, options, /*cache=*/nullptr,
-                             /*eager=*/true, profile, scratch, [&](Row& row) {
+        ExecutePlannedBranch(store, plan, options, profile, scratch,
+                             [&](Row& row) {
                                result.rows.push_back(row);
                                return !probe.Expired();
                              });
@@ -969,16 +505,23 @@ size_t MaxRowsNeeded(const UnionQuery& q) {
 // hides the signal. Branches past the cap fold into one aggregate node.
 constexpr size_t kMaxProfiledBranches = 8;
 
-// The reference union evaluation: branches in order, one global hash-set
-// dedup, early break once the row budget is met. The parallel path below
-// is differential-tested to reproduce this output bit for bit.
+// Union evaluation: branches in order on the calling thread, one global
+// hash-set dedup, early break once the row budget is met.
 template <typename Store>
 ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
                                   const EvaluatorOptions& options,
-                                  ScanCache* cache,
-                                  const exec::Statistics* plan_stats,
-                                  obs::ProfileNode* profile,
-                                  const rdf::Dictionary* dict) {
+                                  obs::ProfileNode* profile) {
+  WDR_COUNTER_INC("wdr.query.union_evals");
+  if (q.branches().empty()) return ResultSet{};
+
+  // Plan-mode statistics: one build (or one staleness check of the
+  // caller's) per union evaluation, shared read-only by every branch.
+  // Null keeps the planner on its degraded bound-first path.
+  std::optional<exec::Statistics> local_stats;
+  const exec::Statistics* plan_stats =
+      options.plan ? UsableStats(store, options, local_stats) : nullptr;
+
+  const uint64_t start = NowNanos();
   ResultSet result;
   const size_t max_rows = MaxRowsNeeded(q);
   std::unordered_set<Row, RowHash> seen;
@@ -1040,16 +583,13 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
           branch_node == nullptr
               ? nullptr
               : (branch_node == overflow ? &scratch_profile : branch_node);
-      ExecutePlannedBranch(store, plan, options, cache,
-                           /*eager=*/max_rows == SIZE_MAX, plan_profile,
-                           scratch, emit);
+      ExecutePlannedBranch(store, plan, options, plan_profile, scratch, emit);
       if (branch_node == overflow && branch_node != nullptr) {
         branch_node->scans += scratch_profile.TotalScans();
         branch_node->triples += scratch_profile.TotalTriples();
       }
     } else {
       BgpJoin<Store> join(store, branch, options.greedy_join_order);
-      join.set_scan_cache(cache, /*eager=*/max_rows == SIZE_MAX);
       if (probe.enabled()) join.set_cancel(&probe);
       if (profile != nullptr) {
         stats.resize(branch.atoms().size());
@@ -1071,7 +611,7 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
             branch_node->triples += as.triples;
           }
         } else {
-          FillAtomProfile(*branch_node, branch, dict, stats);
+          FillAtomProfile(*branch_node, branch, options.dict, stats);
         }
       }
     }
@@ -1081,326 +621,9 @@ ResultSet EvaluateUnionSequential(const Store& store, const UnionQuery& q,
     overflow->label =
         "(+" + std::to_string(overflow_branches) + " more branches)";
   }
-  return result;
-}
-
-// Everything one parallel worker produces for one branch. Workers write
-// only their own branches' slots; the merge thread reads them after the
-// join, so no slot is ever touched concurrently.
-struct BranchOutput {
-  std::vector<Row> rows;        // locally deduped, first-occurrence order
-  std::vector<AtomStats> stats; // filled only when profiling (legacy path)
-  obs::ProfileNode plan_profile;  // operator tree (plan path, profiling)
-  uint64_t nanos = 0;           // branch wall time (profiling only)
-  double est_rows = -1;         // planner's estimate (plan mode only)
-  bool evaluated = false;       // cancelled branches stay false
-};
-
-// Evaluates one branch into `out`, de-duplicating through the worker's
-// accumulated `seen` set. A worker claims chunks off a monotone cursor, so
-// the branches one worker evaluates form a strictly increasing sequence;
-// a row suppressed here as already-seen was therefore recorded in one of
-// THIS worker's earlier (lower-index) branch outputs, which the in-order
-// merge consumes first — the merge would have dropped the duplicate
-// anyway, so suppression leaves the merged stream bit-identical while
-// keeping branch buffers near distinct-row size. `worker_rows` counts the
-// rows this worker has kept across all its branches; for bounded queries
-// (ASK / LIMIT), every kept row reaches the merge at or before the current
-// branch, so `worker_rows >= max_rows` guarantees the in-order merge meets
-// its budget by this branch and every later branch is cancelled through
-// `stop_after`. Cancellation never changes the result: the merge never
-// consumes a branch past `stop_after`.
-template <typename Store>
-void EvaluateBranch(const Store& store, const BgpQuery& branch,
-                    size_t branch_index, const EvaluatorOptions& options,
-                    ScanCache* cache, const exec::Statistics* plan_stats,
-                    size_t max_rows, std::atomic<size_t>& stop_after,
-                    bool profiled, std::unordered_set<Row, RowHash>& seen,
-                    Row& scratch, size_t& worker_rows, CancelProbe& probe,
-                    BranchOutput& out) {
-  out.evaluated = true;
-  obs::Span branch_span("wdr.query.branch");
-  branch_span.AddAttr("branch", static_cast<uint64_t>(branch_index));
-  const uint64_t start = NowNanos();
-  auto emit_unbounded = [&](Row& row) {
-    if (seen.insert(row).second) out.rows.push_back(row);
-    return !probe.Expired();
-  };
-  auto emit_bounded = [&](Row& row) {
-    if (stop_after.load(std::memory_order_relaxed) < branch_index) {
-      return false;  // a lower branch already satisfies the budget
-    }
-    if (seen.insert(row).second) {
-      out.rows.push_back(row);
-      ++worker_rows;
-    }
-    if (worker_rows >= max_rows) {
-      AtomicMin(stop_after, branch_index);
-      return false;
-    }
-    return !probe.Expired();
-  };
-  if (options.plan) {
-    exec::CompiledPlan plan = PlanBgpBranch(store, branch, options, plan_stats);
-    out.est_rows = plan.est_rows;
-    const size_t hint = ReserveHint(plan.est_rows);
-    if (hint > 0) {
-      if (seen.size() + hint > seen.bucket_count()) {
-        seen.reserve(seen.size() + hint);
-      }
-      out.rows.reserve(hint);
-    }
-    obs::ProfileNode* plan_profile = profiled ? &out.plan_profile : nullptr;
-    if (max_rows == SIZE_MAX) {
-      ExecutePlannedBranch(store, plan, options, cache, /*eager=*/true,
-                           plan_profile, scratch, emit_unbounded);
-    } else {
-      ExecutePlannedBranch(store, plan, options, cache, /*eager=*/false,
-                           plan_profile, scratch, emit_bounded);
-    }
-    out.nanos = NowNanos() - start;
-    return;
-  }
-  BgpJoin<Store> join(store, branch, options.greedy_join_order);
-  join.set_scan_cache(cache, /*eager=*/max_rows == SIZE_MAX);
-  if (probe.enabled()) join.set_cancel(&probe);
-  if (profiled) {
-    out.stats.resize(branch.atoms().size());
-    join.set_stats(&out.stats);
-  }
-  if (max_rows == SIZE_MAX) {
-    join.Run([&](const std::vector<TermId>& bindings) {
-      ProjectRowInto(branch, bindings, scratch);
-      emit_unbounded(scratch);
-    });
-  } else {
-    join.Run([&](const std::vector<TermId>& bindings) {
-      ProjectRowInto(branch, bindings, scratch);
-      return emit_bounded(scratch);
-    });
-  }
-  out.nanos = NowNanos() - start;
-}
-
-// Branch-parallel union evaluation, mirroring the saturator's design:
-// branches are split into contiguous chunks (a few per worker) claimed off
-// an atomic cursor; workers evaluate against the frozen store — safe under
-// the StoreView readers-concurrent contract — into per-branch buffers, and
-// a single thread merges the buffers IN BRANCH ORDER through one hash-set
-// dedup. The merged row stream is therefore the sequential stream: results
-// are bit-identical at every thread count. ASK/LIMIT cancellation is the
-// `stop_after` branch bound (see EvaluateBranch); the merge consumes no
-// branch past it, so cancelled work is work the sequential evaluation
-// would not have needed either.
-template <typename Store>
-ResultSet EvaluateUnionParallel(const Store& store, const UnionQuery& q,
-                                const EvaluatorOptions& options,
-                                ScanCache* cache,
-                                const exec::Statistics* plan_stats,
-                                int workers, obs::ProfileNode* profile,
-                                const rdf::Dictionary* dict) {
-  static obs::Histogram& branch_wait =
-      obs::MetricsRegistry::Get().GetHistogram("wdr.query.branch_wait");
-
-  const size_t n = q.branches().size();
-  const size_t max_rows = MaxRowsNeeded(q);
-  const bool profiled = profile != nullptr;
-
-  // A few chunks per worker: branch costs are skewed (one unselective
-  // disjunct can dominate), and small chunks let the other workers drain
-  // the rest meanwhile.
-  const size_t target_chunks = static_cast<size_t>(workers) * 4;
-  const size_t chunk_size =
-      std::max<size_t>(1, (n + target_chunks - 1) / target_chunks);
-  const size_t num_chunks = (n + chunk_size - 1) / chunk_size;
-
-  std::vector<BranchOutput> outputs(n);
-  std::atomic<size_t> next_chunk{0};
-  std::atomic<size_t> stop_after{SIZE_MAX};
-  std::vector<uint64_t> busy_nanos(static_cast<size_t>(workers), 0);
-
-  // Capture the dispatching thread's trace position so the pool workers'
-  // spans attach to the enclosing query span instead of surfacing as
-  // orphan roots (span parentage is thread-local; see obs/trace.h).
-  const obs::TraceContext trace_context = obs::CurrentTraceContext();
-
-  auto work = [&](int worker_id) {
-    obs::TraceContextScope trace_scope(trace_context);
-    obs::Span worker_span("wdr.query.worker");
-    worker_span.AddAttr("worker", static_cast<uint64_t>(worker_id));
-    const uint64_t start = NowNanos();
-    uint64_t branches_done = 0;
-    uint64_t rows_built = 0;
-    // Worker-lifetime dedup state; see EvaluateBranch for why sharing the
-    // seen-set across one worker's (increasing) branches is sound.
-    std::unordered_set<Row, RowHash> seen;
-    Row scratch;
-    size_t worker_rows = 0;
-    // Worker-local probe: the stride counter must not be shared, while the
-    // underlying cancel flag/deadline are common to all workers.
-    CancelProbe probe(options);
-    for (;;) {
-      if (probe.enabled() && probe.Expired()) break;
-      const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      const size_t lo = c * chunk_size;
-      const size_t hi = std::min(n, lo + chunk_size);
-      for (size_t b = lo; b < hi; ++b) {
-        if (b > stop_after.load(std::memory_order_relaxed)) continue;
-        if (probe.enabled() && probe.Expired()) break;
-        EvaluateBranch(store, q.branches()[b], b, options, cache, plan_stats,
-                       max_rows, stop_after, profiled, seen, scratch,
-                       worker_rows, probe, outputs[b]);
-        ++branches_done;
-        rows_built += outputs[b].rows.size();
-      }
-    }
-    busy_nanos[static_cast<size_t>(worker_id)] = NowNanos() - start;
-    if (branches_done != 0) {
-      obs::MetricsRegistry::Get()
-          .GetCounter("wdr.query.worker." + std::to_string(worker_id) +
-                      ".branches")
-          .Add(branches_done);
-      obs::MetricsRegistry::Get()
-          .GetCounter("wdr.query.worker." + std::to_string(worker_id) +
-                      ".rows")
-          .Add(rows_built);
-    }
-  };
-
-  WorkerPool::Get().Dispatch(workers - 1, work);
-
-  if (options.collect != nullptr) {
-    EvalStats& collect = *options.collect;
-    for (const BranchOutput& out : outputs) {
-      if (!out.evaluated) continue;
-      ++collect.branches;
-      if (out.est_rows >= 0) {
-        collect.est_rows =
-            (collect.est_rows < 0 ? 0 : collect.est_rows) + out.est_rows;
-      }
-    }
-  }
-
-  // Idle-at-the-barrier time per worker (how long each waited on the
-  // slowest); large values mean skewed branch costs.
-  const uint64_t slowest =
-      *std::max_element(busy_nanos.begin(), busy_nanos.end());
-  for (uint64_t busy : busy_nanos) branch_wait.RecordNanos(slowest - busy);
-
-  // In-order merge: identical to the sequential dedup stream.
-  ResultSet result;
-  result.var_names = q.branches().front().ProjectionNames();
-  std::unordered_set<Row, RowHash> seen;
-  std::vector<size_t> contributed(profiled ? n : 0, 0);
-  const size_t last =
-      std::min(stop_after.load(std::memory_order_relaxed), n - 1);
-  for (size_t b = 0; b <= last && result.rows.size() < max_rows; ++b) {
-    const size_t rows_before = result.rows.size();
-    for (Row& row : outputs[b].rows) {
-      if (seen.insert(row).second) {
-        result.rows.push_back(std::move(row));
-        if (result.rows.size() >= max_rows) break;
-      }
-    }
-    if (profiled) contributed[b] = result.rows.size() - rows_before;
-  }
-
-  if (profiled) {
-    // Same shape as the sequential profile; `rows` is the branch's merge
-    // contribution. Under cancellation the evaluated set can differ from a
-    // sequential run's (workers may finish branches the merge never
-    // needed) — the profile reports work actually done.
-    obs::ProfileNode* overflow = nullptr;
-    size_t overflow_branches = 0;
-    for (size_t b = 0; b < n; ++b) {
-      if (!outputs[b].evaluated) continue;
-      obs::ProfileNode* branch_node = nullptr;
-      if (b < kMaxProfiledBranches) {
-        branch_node = &profile->AddChild("branch " + std::to_string(b));
-      } else {
-        if (overflow == nullptr) overflow = &profile->AddChild("");
-        branch_node = overflow;
-        ++overflow_branches;
-      }
-      branch_node->rows += b < contributed.size() ? contributed[b] : 0;
-      branch_node->seconds += static_cast<double>(outputs[b].nanos) * 1e-9;
-      if (branch_node == overflow) {
-        if (options.plan) {
-          branch_node->scans += outputs[b].plan_profile.TotalScans();
-          branch_node->triples += outputs[b].plan_profile.TotalTriples();
-        } else {
-          for (const AtomStats& as : outputs[b].stats) {
-            branch_node->scans += as.scans;
-            branch_node->triples += as.triples;
-          }
-        }
-      } else if (options.plan) {
-        // Workers filled a detached operator tree (ProfileNode is not
-        // concurrency-safe); adopt its children under the branch node.
-        for (auto& child : outputs[b].plan_profile.children) {
-          branch_node->children.push_back(std::move(child));
-        }
-      } else {
-        FillAtomProfile(*branch_node, q.branches()[b], dict,
-                        outputs[b].stats);
-      }
-    }
-    if (overflow != nullptr) {
-      overflow->label =
-          "(+" + std::to_string(overflow_branches) + " more branches)";
-    }
-  }
-  return result;
-}
-
-template <typename Store>
-ResultSet EvaluateUnionQuery(const Store& store, const UnionQuery& q,
-                             const EvaluatorOptions& options,
-                             obs::ProfileNode* profile = nullptr,
-                             const rdf::Dictionary* dict = nullptr) {
-  WDR_COUNTER_INC("wdr.query.union_evals");
-  if (q.branches().empty()) return ResultSet{};
-
-  // The cache pays off through cross-branch sharing; a single-branch
-  // union has nothing to share with.
-  std::optional<ScanCache> cache;
-  if (options.scan_cache && q.branches().size() >= 2) cache.emplace();
-  ScanCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
-
-  // Plan-mode statistics: one build (or one staleness check of the
-  // caller's) per union evaluation, shared read-only by every branch and
-  // worker. Null keeps the planner on its degraded bound-first path.
-  std::optional<exec::Statistics> local_stats;
-  const exec::Statistics* plan_stats =
-      options.plan ? UsableStats(store, options, local_stats) : nullptr;
-
-  const size_t n = q.branches().size();
-  const int workers = static_cast<int>(std::min<size_t>(
-      options.threads < 1 ? 1 : static_cast<size_t>(options.threads), n));
-
-  const uint64_t start = NowNanos();
-  ResultSet result =
-      workers > 1
-          ? EvaluateUnionParallel(store, q, options, cache_ptr, plan_stats,
-                                  workers, profile, dict)
-          : EvaluateUnionSequential(store, q, options, cache_ptr, plan_stats,
-                                    profile, dict);
   if (profile != nullptr) {
     profile->rows += result.rows.size();
     profile->seconds += static_cast<double>(NowNanos() - start) * 1e-9;
-    if (cache_ptr != nullptr) {
-      profile->AddChild("scan_cache (" + std::to_string(cache_ptr->hits()) +
-                        " hits, " + std::to_string(cache_ptr->misses()) +
-                        " misses)");
-    }
-  }
-  if (cache_ptr != nullptr) {
-    cache_ptr->FlushCounters();
-    if (options.collect != nullptr) {
-      options.collect->scan_cache_hits += cache_ptr->hits();
-      options.collect->scan_cache_misses += cache_ptr->misses();
-    }
   }
   return result;
 }
@@ -1438,8 +661,7 @@ ResultSet Evaluator::Evaluate(const BgpQuery& q,
 
 ResultSet Evaluator::Evaluate(const UnionQuery& q,
                               obs::ProfileNode* profile) const {
-  ResultSet result =
-      EvaluateUnionQuery(*store_, q, options_, profile, options_.dict);
+  ResultSet result = EvaluateUnionSequential(*store_, q, options_, profile);
   ApplySolutionModifiers(q, result);
   WDR_COUNTER_ADD("wdr.query.rows", result.rows.size());
   return result;
@@ -1454,8 +676,7 @@ ResultSet FederatedEvaluator::Evaluate(const BgpQuery& q,
 
 ResultSet FederatedEvaluator::Evaluate(const UnionQuery& q,
                                        obs::ProfileNode* profile) const {
-  ResultSet result =
-      EvaluateUnionQuery(*store_, q, options_, profile, options_.dict);
+  ResultSet result = EvaluateUnionSequential(*store_, q, options_, profile);
   ApplySolutionModifiers(q, result);
   WDR_COUNTER_ADD("wdr.query.rows", result.rows.size());
   return result;
@@ -1469,32 +690,16 @@ size_t Evaluator::CountAnswers(const BgpQuery& q) const {
     std::optional<exec::Statistics> local_stats;
     const exec::Statistics* stats =
         UsableStats(*store_, options_, local_stats);
-    exec::ConjunctiveSpec spec = SpecFromBgp(q, options_.dict);
-    spec.distinct = q.distinct();
-    exec::PlannerOptions popts;
-    popts.hash_joins = options_.hash_joins;
-    std::optional<exec::StatisticsEstimator> stats_est;
-    std::optional<exec::StoreEstimator<rdf::StoreView>> store_est;
-    if (stats != nullptr) {
-      stats_est.emplace(*stats);
-      popts.estimator = &*stats_est;
-    } else {
-      store_est.emplace(*store_);
-      popts.estimator = &*store_est;
-      popts.cost_based = false;
-    }
-    exec::CompiledPlan plan = exec::PlanConjunctive(spec, popts);
+    exec::CompiledPlan plan =
+        PlanBgpBranch(*store_, q, options_, stats, q.distinct());
     if (plan.root != nullptr) {
-      CachedStoreSource<rdf::StoreView> source(*store_, nullptr, true);
-      const std::vector<const exec::TupleSource*> sources = {&source};
-      exec::ExecOptions eopts;
-      eopts.batch_rows = options_.batch_rows;
       size_t count = 0;
-      exec::Run(*plan.root, sources, eopts,
-                [&](const exec::Value*, size_t) {
-                  ++count;
-                  return true;
-                });
+      Row scratch;
+      ExecutePlannedBranch(*store_, plan, options_, /*profile=*/nullptr,
+                           scratch, [&](Row&) {
+                             ++count;
+                             return true;
+                           });
       WDR_COUNTER_ADD("wdr.query.rows", count);
       return count;
     }

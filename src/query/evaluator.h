@@ -50,10 +50,6 @@ struct EvalStats {
   double est_rows = -1;
   // Branches actually evaluated (cancelled branches don't count).
   uint64_t branches = 0;
-  // This evaluation's cross-branch scan-cache traffic (0/0 when the cache
-  // was not engaged, e.g. single-branch unions).
-  uint64_t scan_cache_hits = 0;
-  uint64_t scan_cache_misses = 0;
 };
 
 // Knobs shared by Evaluator and FederatedEvaluator.
@@ -65,22 +61,6 @@ struct EvaluatorOptions {
   // When set, profile-node operator labels render terms through this
   // dictionary instead of as raw ids.
   const rdf::Dictionary* dict = nullptr;
-  // Worker threads for the branches of a UnionQuery (values < 1 clamp
-  // to 1). Branches are partitioned into contiguous chunks claimed off an
-  // atomic cursor; workers evaluate against the frozen store (the
-  // StoreView readers-concurrent contract) into per-branch row buffers,
-  // and a single thread merges the buffers in branch order — so the
-  // result is bit-identical to the sequential evaluation at any thread
-  // count. ASK/LIMIT cancel outstanding branches through a shared atomic
-  // branch bound once some branch alone satisfies the row budget.
-  int threads = 1;
-  // Cross-branch scan-signature cache: reformulated branches repeatedly
-  // issue identical resolved (s,p,o) scans, so each union evaluation
-  // memoizes completed small scans and replays them as flat vectors,
-  // shared read-only across workers. Answers are identical either way
-  // (a cached scan is the exact triple sequence of the live cursor);
-  // wdr.query.scan_cache.{hits,misses} measure effectiveness.
-  bool scan_cache = true;
   // Compile each BGP/branch into the shared wdr::exec physical-plan IR —
   // cost-based join order AND join algorithm (hash join vs bound-first
   // index lookup) from per-predicate statistics, batch-at-a-time
@@ -103,8 +83,8 @@ struct EvaluatorOptions {
   // bound-first order with nested loops only.
   const exec::Statistics* stats = nullptr;
   // When non-null, union evaluation accumulates EvalStats here (est-vs-
-  // actual cardinality, scan-cache traffic) for the caller's query-log
-  // record. Not owned; must outlive the evaluation.
+  // actual cardinality, branch count) for the caller's query-log record.
+  // Not owned; must outlive the evaluation.
   EvalStats* collect = nullptr;
   // Cooperative cancellation, for callers serving queries with a timeout
   // (the server's per-query deadline). When `cancel` is non-null and
@@ -147,7 +127,11 @@ class Evaluator {
                      obs::ProfileNode* profile = nullptr) const;
 
   // Set-union of branch answers (always de-duplicated: a UCQ's answers are
-  // a set, and reformulation disjuncts overlap heavily).
+  // a set, and reformulation disjuncts overlap heavily). Branches run in
+  // order on the calling thread through one global dedup set, so the row
+  // stream is deterministic: first occurrences, in branch order. ASK and
+  // LIMIT stop enumerating once offset + limit distinct rows exist, so a
+  // LIMIT/OFFSET answer is the matching slice of the unbounded stream.
   ResultSet Evaluate(const UnionQuery& q,
                      obs::ProfileNode* profile = nullptr) const;
 

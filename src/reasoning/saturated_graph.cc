@@ -26,6 +26,7 @@ SaturatedGraph::SaturatedGraph(const rdf::Graph& base,
 
 SaturatedGraph::SaturatedGraph(const SaturatedGraph& other)
     : base_(other.base_),
+      term_dict_(other.term_dict_),
       closure_(other.closure_->Clone()),
       vocab_(other.vocab_),
       enable_owl_(other.enable_owl_),
@@ -36,6 +37,7 @@ SaturatedGraph::SaturatedGraph(const SaturatedGraph& other)
 SaturatedGraph& SaturatedGraph::operator=(const SaturatedGraph& other) {
   if (this == &other) return *this;
   base_ = other.base_;
+  term_dict_ = other.term_dict_;
   closure_ = other.closure_->Clone();
   vocab_ = other.vocab_;
   enable_owl_ = other.enable_owl_;
@@ -46,7 +48,7 @@ SaturatedGraph& SaturatedGraph::operator=(const SaturatedGraph& other) {
 }
 
 void SaturatedGraph::Rebuild() {
-  Saturator saturator(vocab_, &base_.dict(), enable_owl_);
+  Saturator saturator(vocab_, TermDictionary(), enable_owl_);
   closure_ = std::make_unique<rdf::FlatTripleStore>();
   // The store is freshly constructed (empty), so this cannot fail.
   Status status =

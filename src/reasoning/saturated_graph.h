@@ -70,6 +70,15 @@ class SaturatedGraph {
   const MaintenanceStats& stats() const { return stats_; }
   const SaturationStats& initial_saturation() const { return initial_stats_; }
 
+  // The dictionary the ids passed to Insert/Erase are interned in, when
+  // that is not this graph's own snapshot base().dict(). A ReasoningStore
+  // interns new terms in its own graph, which this snapshot never sees;
+  // the rule engine reads the dictionary to keep literals out of subject
+  // position, so it must be the one the ids come from. Null (the default)
+  // means base().dict(). Not owned; must outlive the next Insert, Erase
+  // or Rebuild.
+  void set_term_dictionary(const rdf::Dictionary* dict) { term_dict_ = dict; }
+
   // Saturation knobs for future propagation work; takes effect on the next
   // Insert/Erase/Rebuild (no rebuild is triggered by setting them).
   const SaturationOptions& saturation_options() const { return options_; }
@@ -80,11 +89,15 @@ class SaturatedGraph {
  private:
   // The rule engine is constructed per call: it holds a pointer to the
   // dictionary, which must track this object across copies and moves.
+  const rdf::Dictionary* TermDictionary() const {
+    return term_dict_ != nullptr ? term_dict_ : &base_.dict();
+  }
   RuleEngine MakeEngine() const {
-    return RuleEngine(vocab_, &base_.dict(), enable_owl_);
+    return RuleEngine(vocab_, TermDictionary(), enable_owl_);
   }
 
   rdf::Graph base_;
+  const rdf::Dictionary* term_dict_ = nullptr;  // see set_term_dictionary
   std::unique_ptr<rdf::StoreView> closure_;
   schema::Vocabulary vocab_;
   bool enable_owl_ = false;

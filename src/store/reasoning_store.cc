@@ -146,10 +146,6 @@ void ReasoningStore::SetSaturationThreads(int threads) {
   }
 }
 
-void ReasoningStore::SetQueryThreads(int threads) {
-  options_.query.threads = threads < 1 ? 1 : threads;
-}
-
 void ReasoningStore::RecloseSchema() {
   for (const rdf::Triple& t : derived_schema_) graph_.Erase(t);
   derived_schema_.clear();
@@ -366,8 +362,6 @@ void CompleteRecord(obs::QueryLogRecord& record, const QueryInfo& qinfo,
   if (eval_stats.est_rows >= 0) {
     record.est_rows = static_cast<int64_t>(eval_stats.est_rows);
   }
-  record.scan_cache_hits = eval_stats.scan_cache_hits;
-  record.scan_cache_misses = eval_stats.scan_cache_misses;
   record.wall_nanos = static_cast<uint64_t>(qinfo.seconds * 1e9);
   record.ok = result.ok();
   if (result.ok()) {
@@ -556,9 +550,6 @@ Result<PreparedQuery> ReasoningStore::PrepareInternal(
   query::EvaluatorOptions eval = options_.query;
   eval.dict = &graph_.dict();
   eval.plan = ropts.plan.value_or(eval.plan);
-  if (ropts.threads.has_value()) {
-    eval.threads = *ropts.threads < 1 ? 1 : *ropts.threads;
-  }
   eval.cancel = ropts.cancel;
   eval.deadline_nanos = ropts.deadline_nanos;
 
@@ -857,7 +848,12 @@ UpdateInfo ReasoningStore::Insert(const rdf::Triple& t) {
       }
     }
     info.inserted = graph_.Insert(t) ? 1 : 0;
-    if (saturated_.has_value()) info.closure_delta = saturated_->Insert(t);
+    if (saturated_.has_value()) {
+      // `t`'s terms live in graph_'s dictionary, not the closure's
+      // snapshot of it (rebound per write: this store may have moved).
+      saturated_->set_term_dictionary(&graph_.dict());
+      info.closure_delta = saturated_->Insert(t);
+    }
     OnUpdate(is_schema);
   }
   UpdateHistogram(is_schema, /*is_insert=*/true).RecordSeconds(info.seconds);
@@ -870,7 +866,10 @@ UpdateInfo ReasoningStore::Erase(const rdf::Triple& t) {
   {
     ScopedTimer<> timer(info.seconds);
     info.deleted = graph_.Erase(t) ? 1 : 0;
-    if (saturated_.has_value()) info.closure_delta = saturated_->Erase(t);
+    if (saturated_.has_value()) {
+      saturated_->set_term_dictionary(&graph_.dict());
+      info.closure_delta = saturated_->Erase(t);
+    }
     // Re-closing may legitimately re-add the erased triple if it is still
     // entailed by the remaining schema (deleting an entailed triple is a
     // no-op on the semantics, as the paper's §II-B maintenance discussion

@@ -76,10 +76,8 @@ struct ReasoningStoreOptions {
   // closure build and for DRed re-derivation. Answers are identical at any
   // thread count.
   reasoning::SaturationOptions saturation;
-  // Passed through to the query evaluator in every mode: union-branch
-  // worker threads and the cross-branch scan cache (most effective in
-  // kReformulation mode, where unions are large). Answers are identical
-  // at any setting.
+  // Passed through to the query evaluator in every mode: join ordering,
+  // plan mode and its knobs. Answers are identical at any setting.
   query::EvaluatorOptions query;
   // Hierarchy-aware id encoding (LiteMat; rdf/hier_encoding.h): permute
   // the dictionary so subclass/subproperty closures occupy contiguous id
@@ -110,8 +108,6 @@ struct ReadOptions {
   // an encoding-enabled store rewrites through a plain (classic)
   // reformulator instead of the interval-collapsing one.
   std::optional<bool> encoding;
-  // Union-branch worker threads override (values < 1 clamp to 1).
-  std::optional<int> threads;
   // Cooperative cancellation, threaded into the evaluator (see
   // query::EvaluatorOptions): Execute returns Cancelled once `*cancel` is
   // true, DeadlineExceeded once `deadline_nanos` (absolute steady-clock
@@ -300,12 +296,9 @@ class ReasoningStore {
   void SetSaturationThreads(int threads);
   int saturation_threads() const { return options_.saturation.threads; }
 
-  // Sets the worker-thread count for the branches of subsequent union
-  // queries (values < 1 clamp to 1) — most useful in kReformulation mode,
-  // where reformulated unions carry many branches. Answers are identical
-  // at any thread count.
-  void SetQueryThreads(int threads);
-  int query_threads() const { return options_.query.threads; }
+  // Union queries evaluate on the calling thread, reported in
+  // configuration dumps: always 1.
+  int query_threads() const { return 1; }
 
   // Toggles plan-based evaluation: queries (and, in kBackward mode, the
   // chaining join) compile into the shared wdr::exec physical-plan IR with
@@ -399,8 +392,8 @@ class ReasoningStore {
                                         obs::QueryLogRecord* record);
 
   // Execute() minus span/record assembly. `collect`, when non-null,
-  // receives the evaluator's EvalStats (est-vs-actual cardinality,
-  // scan-cache traffic) for the query-log record.
+  // receives the evaluator's EvalStats (est-vs-actual cardinality, branch
+  // count) for the query-log record.
   Result<query::ResultSet> ExecuteInternal(const PreparedQuery& prepared,
                                            QueryInfo* info,
                                            obs::ProfileNode* profile,

@@ -13,9 +13,9 @@
 // materialization, plus a physical-plan section locking plan-based UCQ
 // evaluation to the legacy join: answer sets always match, and within one
 // plan shape (hash joins on or off) the row stream is bit-identical
-// across batch sizes {1, 1024}, thread counts {1, 8}, and external vs
-// locally-built statistics. Failures always name the seed, so any
-// mismatch is reproducible with WDR_SEED=<seed>.
+// across batch sizes {1, 1024} and external vs locally-built statistics.
+// Failures always name the seed, so any mismatch is reproducible with
+// WDR_SEED=<seed>.
 #ifndef WDR_TESTS_DIFFERENTIAL_UTIL_H_
 #define WDR_TESTS_DIFFERENTIAL_UTIL_H_
 
@@ -289,71 +289,38 @@ inline ::testing::AssertionResult RunDifferentialInstance(
       }
     }
 
-    // Parallel UCQ evaluation must reproduce the sequential row stream
-    // BIT FOR BIT — same rows in the same order, not just the same set —
-    // at every thread count, with the scan cache on or off (replayed
-    // scans keep live-cursor order and memoized estimates keep the
-    // greedy join order, so caching never reorders answers either).
-    {
-      query::EvaluatorOptions reference_options;
-      reference_options.threads = 1;
-      reference_options.scan_cache = false;
-      query::Evaluator reference_eval(graph.store(), reference_options);
-      const query::ResultSet reference =
-          reference_eval.Evaluate(*reformulated);
-      for (int threads : {1, 2, 8}) {
-        for (bool cache : {false, true}) {
-          query::EvaluatorOptions options;
-          options.threads = threads;
-          options.scan_cache = cache;
-          query::Evaluator parallel_eval(graph.store(), options);
-          const query::ResultSet got = parallel_eval.Evaluate(*reformulated);
-          if (got.rows != reference.rows) {
-            return fail(label + ": parallel UCQ evaluation (threads=" +
-                        std::to_string(threads) +
-                        ", cache=" + (cache ? "on" : "off") +
-                        ") is not bit-identical to sequential");
-          }
-        }
-      }
-    }
-
     // Plan-based UCQ evaluation: answer sets equal the legacy join on
     // every configuration, and within one plan shape (hash joins on or
     // off — the planner may legitimately emit different operator trees
     // across that toggle) the row stream is BIT-IDENTICAL across batch
-    // sizes, thread counts, and external vs locally-built statistics.
+    // sizes and external vs locally-built statistics.
     for (bool hash_joins : {false, true}) {
       std::vector<query::Row> plan_reference;
       bool have_reference = false;
       for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
-        for (int threads : {1, 8}) {
-          for (bool external_stats : {false, true}) {
-            query::EvaluatorOptions options;
-            options.plan = true;
-            options.hash_joins = hash_joins;
-            options.batch_rows = batch_rows;
-            options.threads = threads;
-            options.stats = external_stats ? &plan_stats : nullptr;
-            query::Evaluator plan_eval(graph.store(), options);
-            const query::ResultSet got = plan_eval.Evaluate(*reformulated);
-            const std::string config =
-                std::string(" (hash_joins=") + (hash_joins ? "on" : "off") +
-                ", batch_rows=" + std::to_string(batch_rows) +
-                ", threads=" + std::to_string(threads) +
-                ", stats=" + (external_stats ? "external" : "local") + ")";
-            if (Rows(rg.graph, got) != expected) {
-              return fail(label + ": plan-based evaluation" + config +
-                          " differs from saturation");
-            }
-            if (!have_reference) {
-              plan_reference = got.rows;
-              have_reference = true;
-            } else if (got.rows != plan_reference) {
-              return fail(label + ": plan-based evaluation" + config +
-                          " is not bit-identical to the first plan "
-                          "configuration of this shape");
-            }
+        for (bool external_stats : {false, true}) {
+          query::EvaluatorOptions options;
+          options.plan = true;
+          options.hash_joins = hash_joins;
+          options.batch_rows = batch_rows;
+          options.stats = external_stats ? &plan_stats : nullptr;
+          query::Evaluator plan_eval(graph.store(), options);
+          const query::ResultSet got = plan_eval.Evaluate(*reformulated);
+          const std::string config =
+              std::string(" (hash_joins=") + (hash_joins ? "on" : "off") +
+              ", batch_rows=" + std::to_string(batch_rows) +
+              ", stats=" + (external_stats ? "external" : "local") + ")";
+          if (Rows(rg.graph, got) != expected) {
+            return fail(label + ": plan-based evaluation" + config +
+                        " differs from saturation");
+          }
+          if (!have_reference) {
+            plan_reference = got.rows;
+            have_reference = true;
+          } else if (got.rows != plan_reference) {
+            return fail(label + ": plan-based evaluation" + config +
+                        " is not bit-identical to the first plan "
+                        "configuration of this shape");
           }
         }
       }

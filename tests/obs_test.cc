@@ -711,37 +711,37 @@ TEST(TraceTest, ExportWhileRecordingIsSafe) {
   ClearTrace();
 }
 
-TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
-  // A 16-subclass hierarchy reformulates ?x type Animal into a 17-branch
-  // union — enough work for all 8 requested workers to open spans.
+TEST(TraceTest, ParallelSaturationProducesSingleTraceTreeNoOrphans) {
+  // 16 subclasses of Animal with one instance each: the first propagation
+  // round's delta (the whole base graph) splits into enough chunks for all
+  // 8 requested saturation workers to open spans.
   std::string turtle =
       "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
       "@prefix ex: <http://ex.org/> .\n";
   for (int i = 0; i < 16; ++i) {
-    turtle += "ex:C" + std::to_string(i) + " rdfs:subClassOf ex:Animal .\n";
+    const std::string cls = "ex:C" + std::to_string(i);
+    turtle += cls + " rdfs:subClassOf ex:Animal .\n";
+    turtle += "ex:pet" + std::to_string(i) + " a " + cls + " .\n";
   }
-  turtle += "ex:tom a ex:C0 .\n";
 
   store::ReasoningStoreOptions options;
-  options.mode = store::ReasoningMode::kReformulation;
-  options.encoding = false;  // keep the union wide (no range collapse)
+  options.mode = store::ReasoningMode::kSaturation;
+  options.saturation.threads = 8;
+  options.encoding = false;
   store::ReasoningStore store(options);
-  ASSERT_TRUE(store.LoadTurtle(turtle).ok());
-  store.SetQueryThreads(8);
 
   ClearTrace();
   SetTraceEnabled(true);
-  store::QueryInfo info;
-  auto result = store.Query(kAnimalQuery, &info);
+  ASSERT_TRUE(store.LoadTurtle(turtle).ok());
   SetTraceEnabled(false);
+  auto result = store.Query(kAnimalQuery);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->rows.size(), 1u);
-  EXPECT_EQ(info.union_size, 17u);
+  EXPECT_EQ(result->rows.size(), 16u);
 
   std::vector<TraceEvent> events = TraceEvents();
   ASSERT_FALSE(events.empty());
 
-  // Exactly one root, and it is the store's query span.
+  // Exactly one root, and it is the store's load span.
   std::vector<const TraceEvent*> roots;
   std::unordered_set<uint64_t> span_ids;
   for (const TraceEvent& e : events) {
@@ -751,13 +751,13 @@ TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
   ASSERT_EQ(roots.size(), 1u)
       << "expected a single trace root, found " << roots.size();
   const TraceEvent& root = *roots.front();
-  EXPECT_EQ(root.name, "wdr.store.query");
+  EXPECT_EQ(root.name, "wdr.store.load");
   EXPECT_EQ(root.trace_id, root.span_id);
 
   // Every span is in the root's trace and its parent link resolves — the
-  // worker spans adopted the query context instead of becoming orphans.
+  // worker spans adopted the build's context instead of becoming orphans.
   size_t worker_spans = 0;
-  size_t branch_spans = 0;
+  size_t build_spans = 0;
   std::unordered_map<uint64_t, const TraceEvent*> by_id;
   for (const TraceEvent& e : events) by_id[e.span_id] = &e;
   for (const TraceEvent& e : events) {
@@ -766,18 +766,20 @@ TEST(TraceTest, ParallelUcqProducesSingleTraceTreeNoOrphans) {
       EXPECT_TRUE(span_ids.count(e.parent_id) > 0)
           << e.name << " has a dangling parent";
     }
-    if (e.name == "wdr.query.worker") ++worker_spans;
-    if (e.name == "wdr.query.branch") ++branch_spans;
+    if (e.name == "wdr.saturation.worker") ++worker_spans;
+    if (e.name == "wdr.saturation.build") ++build_spans;
   }
-  // One span per worker (the dispatching thread runs worker 0), one per
-  // union branch, every branch parented to a worker.
-  EXPECT_EQ(worker_spans, 8u);
-  EXPECT_EQ(branch_spans, 17u);
+  // The load saturates twice (the schema closure, then the graph
+  // closure). The graph closure's first round alone runs 8 workers (the
+  // dispatching thread is worker 0), and every worker span — including
+  // the ones opened on fresh threads — is parented to a build span.
+  EXPECT_GE(build_spans, 1u);
+  EXPECT_GE(worker_spans, 8u);
   for (const TraceEvent& e : events) {
-    if (e.name != "wdr.query.branch") continue;
+    if (e.name != "wdr.saturation.worker") continue;
     auto parent = by_id.find(e.parent_id);
     ASSERT_NE(parent, by_id.end());
-    EXPECT_EQ(parent->second->name, "wdr.query.worker");
+    EXPECT_EQ(parent->second->name, "wdr.saturation.build");
   }
   // Walking parent links from any span terminates at the root.
   for (const TraceEvent& e : events) {
@@ -881,7 +883,6 @@ TEST(QueryLogTest, ToJsonLineSerializesAllFields) {
   r.union_size = 14;
   r.est_rows = 42;
   r.rows = 40;
-  r.scan_cache_hits = 3;
   r.wall_nanos = 12345;
   r.ok = true;
   const std::string line = r.ToJsonLine();
@@ -895,7 +896,6 @@ TEST(QueryLogTest, ToJsonLineSerializesAllFields) {
   EXPECT_NE(line.find("\"union_size\":14"), std::string::npos);
   EXPECT_NE(line.find("\"est_rows\":42"), std::string::npos);
   EXPECT_NE(line.find("\"rows\":40"), std::string::npos);
-  EXPECT_NE(line.find("\"scan_cache_hits\":3"), std::string::npos);
   EXPECT_NE(line.find("\"wall_nanos\":12345"), std::string::npos);
   EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(line.find("\\\"x\\\""), std::string::npos);

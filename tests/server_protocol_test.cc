@@ -130,25 +130,29 @@ TEST_F(ServerProtocolTest, SessionSettingsChangeBehavior) {
         << mode << ": " << result.value().head;
   }
 
-  // Every numeric/toggle setting resets with value "default", matching
-  // the mode handler (threads also accepts 0 as an alternate spelling).
-  for (const char* reset :
-       {"threads=4", "threads=default", "threads=0", "plan=default",
-        "encoding=default", "mode=default"}) {
+  // Every toggle setting resets with value "default", matching the mode
+  // handler.
+  for (const char* reset : {"plan=default", "encoding=default",
+                            "mode=default"}) {
     auto ok = client.Set(reset);
     ASSERT_TRUE(ok.ok());
     EXPECT_TRUE(ok.value().ok) << reset << ": " << ok.value().head;
   }
 
-  // Bad settings are errors, and the session survives them.
+  // Bad settings are errors, and the session survives them. Union
+  // evaluation has no thread knob, so `threads` is an unknown key.
   for (const char* bad :
-       {"mode=telepathy", "threads=many", "nonsense=1", "timeout_ms=-2",
-        "plan=maybe", "timeout_ms=18446744073709",
-        "timeout_ms=12345678901234567890123"}) {
+       {"mode=telepathy", "threads=4", "threads=default", "threads=0",
+        "threads=many", "nonsense=1", "timeout_ms=-2", "plan=maybe",
+        "timeout_ms=18446744073709", "timeout_ms=12345678901234567890123"}) {
     auto set = client.Set(bad);
     ASSERT_TRUE(set.ok());
     EXPECT_FALSE(set.value().ok) << bad;
   }
+  auto threads = client.Set("threads=4");
+  ASSERT_TRUE(threads.ok());
+  EXPECT_NE(threads.value().head.find("unknown setting"), std::string::npos)
+      << threads.value().head;
   auto set = client.Call("SET\n");  // no arguments at all
   ASSERT_TRUE(set.ok());
   EXPECT_FALSE(set.value().ok);

@@ -402,6 +402,45 @@ TEST(ReasoningStoreTest, DatalogTranslationSurvivesDataWrites) {
   EXPECT_EQ(translate.count(), translations + 2);
 }
 
+// rdfs:range types the object of every matching triple, but a literal
+// cannot be a subject, so `ex:anne ex:hasPet "lit"` types nothing. The
+// closure maintained incrementally must agree with a rebuilt closure and
+// with the Datalog route (whose `resource` guard encodes the same rule):
+// no ex:Animal answers.
+TEST(ReasoningStoreTest, RangeOverLiteralAgreesAcrossRebuildAndDatalog) {
+  ReasoningStoreOptions options;
+  options.mode = ReasoningMode::kSaturation;
+  options.encoding = false;
+  ReasoningStore store(options);
+  ASSERT_TRUE(store
+                  .Update("PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+                          "PREFIX ex: <http://ex.org/>\n"
+                          "INSERT DATA { ex:hasPet rdfs:range ex:Animal . "
+                          "ex:anne ex:hasPet \"lit\" }")
+                  .ok());
+  EXPECT_EQ(Answers(store, kAnimalQuery), 0u) << "incremental closure";
+
+  ReadOptions datalog;
+  datalog.mode = ReasoningMode::kDatalog;
+  auto prepared = store.Prepare(kAnimalQuery, datalog);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto via_datalog = store.Execute(*prepared);
+  ASSERT_TRUE(via_datalog.ok()) << via_datalog.status();
+  EXPECT_EQ(via_datalog->rows.size(), 0u) << "Datalog route";
+
+  store.SetMode(ReasoningMode::kReformulation);
+  store.SetMode(ReasoningMode::kSaturation);
+  EXPECT_EQ(Answers(store, kAnimalQuery), 0u) << "rebuilt closure";
+
+  // Later incremental writes keep the guard: a second literal object.
+  ASSERT_TRUE(store
+                  .Update("PREFIX ex: <http://ex.org/>\n"
+                          "INSERT DATA { ex:bob ex:hasPet \"other\" . "
+                          "ex:bob ex:hasPet ex:rex }")
+                  .ok());
+  EXPECT_EQ(Answers(store, kAnimalQuery), 1u) << "only ex:rex";
+}
+
 TEST(UpdateParserTest, ParsesInsertAndDelete) {
   rdf::Dictionary dict;
   auto ops = ParseSparqlUpdate(
